@@ -30,24 +30,20 @@ from .halfspace import (
 )
 from .loops import (
     HomotopyPath,
-    MatrixLoop,
     full_deformation,
     linearize,
-    loop_from_model,
     model_from_loop,
     projectionize,
     stabilize_and_factor,
 )
 from .models import (
-    BlochSample,
     ChiralModel,
+    MatrixLoop,
     ModelParams,
-    bloch_at,
     build_model,
     chiral_split,
     detect_grading,
     load_model,
-    reassemble,
     save_model,
 )
 from .spectrum import (

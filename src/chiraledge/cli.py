@@ -35,7 +35,6 @@ from .models import (
     ChiralModel,
     chiral_split,
     detect_grading,
-    h_pm_curve,
     load_model,
     model_to_dict,
 )
@@ -269,7 +268,7 @@ def _cmd_winding(args, tol) -> int:
     )
     if args.curve_out:
         ks = -np.pi + 2.0 * np.pi * np.arange(args.samples) / args.samples
-        dets = np.linalg.det(h_pm_curve(cm, np.exp(1j * ks)))
+        dets = cm.symbol("pm").det_fn()(np.exp(1j * ks))
         _emit_csv(
             ["k", "det_re", "det_im"],
             [[k, d.real, d.imag] for k, d in zip(ks, dets)],

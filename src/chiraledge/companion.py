@@ -22,7 +22,7 @@ from .errors import (
     SingularRightHop,
     ZeroMode,
 )
-from .models import ModelParams, bloch_matrix
+from .models import ModelParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,18 +54,15 @@ def build_companion(model: ModelParams, energy: complex, tol: Tolerances = DEFAU
     n = 2 * big_r * d
     c = np.zeros((n, n), dtype=complex)
     # Superdiagonal identity blocks shift the window by one cell.
-    for b in range(2 * big_r - 1):
-        c[b * d : (b + 1) * d, (b + 1) * d : (b + 2) * d] = np.eye(d)
+    c[: n - d, d:] = np.eye(n - d)
     # Last block row solves the recurrence at the window's middle cell for the
-    # new rightmost cell: block order B_R, ..., B_1, V - E, A_1, ..., A_{R-1}.
-    v_e = model.on_site - complex(energy) * np.eye(d)
-    coeffs = [model.left_hops[big_r - 1 - j] for j in range(big_r)] + [v_e] + [
-        model.right_hops[j] for j in range(big_r - 1)
-    ]
+    # new rightmost cell.  The symbol planes of powers -R..R-1 are the block
+    # order B_R, ..., B_1, V - E, A_1, ..., A_{R-1}.
+    planes = model.symbol().coeffs[:-1].copy()
+    planes[big_r] -= complex(energy) * np.eye(d)
     inv_a = np.linalg.inv(a_r)
-    row = n - d
-    for b, m in enumerate(coeffs):
-        c[row:, b * d : (b + 1) * d] = -inv_a @ m
+    for b, m in enumerate(planes):
+        c[n - d :, b * d : (b + 1) * d] = -inv_a @ m
     return CompanionMatrix(energy=complex(energy), matrix=c, model=model)
 
 
@@ -84,13 +81,12 @@ def char_poly_residual(
     d, big_r = model.dim_v, model.hop_range
     det_a = np.linalg.det(model.right_hops[-1])
     eye = np.eye(cm.size)
+    symbol = model.symbol()
     worst = 0.0
     for lam in probe_lambdas:
         lam = complex(lam)
         lhs = np.linalg.det(lam * eye - cm.matrix)
-        rhs = lam ** (big_r * d) * np.linalg.det(
-            bloch_matrix(model, lam) - complex(energy) * np.eye(d)
-        ) / det_a
+        rhs = lam ** (big_r * d) * np.linalg.det(symbol(lam) - complex(energy) * np.eye(d)) / det_a
         worst = max(worst, abs(lhs - rhs) / max(1.0, abs(lhs)))
     return worst
 
@@ -123,15 +119,6 @@ def cluster_eigenvalues(eigs: np.ndarray, rel_tol: float):
     clusters = [(complex(np.mean(eigs[idx])), len(idx)) for idx in groups.values()]
     clusters.sort(key=lambda c: (c[0].real, c[0].imag))
     return clusters
-
-
-def algebraic_multiplicity(matrix: np.ndarray, mu: complex, power: int, rel_tol: float = 1e-8) -> int:
-    """Nullity of (matrix - mu)^power by singular-value rank, probing Jordan structure."""
-    m = np.linalg.matrix_power(matrix - complex(mu) * np.eye(matrix.shape[0]), power)
-    sv = np.linalg.svd(m, compute_uv=False)
-    if sv[0] == 0:
-        return matrix.shape[0]
-    return int(np.sum(sv <= rel_tol * sv[0]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,8 +7,10 @@ kernel splits into the kernels of the two off-diagonal block operators; their
 dimensions are computed either from singular values of the truncated blocks
 (works for singular A_R) or from the intersection of the Dirichlet subspace
 with the decaying sector of the companion matrix (needs invertible A_R).  The
-truncation has a spurious right edge, so only left-localized kernel directions
-are counted.
+truncated Hamiltonian and blocks are finite sections of the symbols
+ModelParams.symbol() and ChiralModel.symbol("pm"/"mp"); _section_diagonals
+lays out every section, dense or sparse.  The truncation has a spurious right
+edge, so only left-localized kernel directions are counted.
 """
 
 from __future__ import annotations
@@ -25,11 +27,12 @@ from .config import CELLS_CAP, CELLS_MIN_DEFAULT, DENSE_SVD_MAX, DEFAULT_TOL, To
 from .errors import (
     AmbiguousKernel,
     GapNotCertified,
+    NonConvergent,
     SingularLeadingHop,
     TooFewCells,
     UnbalancedGrading,
 )
-from .models import ChiralModel, ModelParams, build_model
+from .models import ChiralModel, MatrixLoop, ModelParams, build_model
 from .spectrum import GapReport, certified_gap
 
 
@@ -49,55 +52,32 @@ def truncate_halfspace(model: ModelParams, cells: int, tol: Tolerances = DEFAULT
     """
     if cells < 4 * model.hop_range:
         raise TooFewCells(f"need at least {4 * model.hop_range} cells, got {cells}")
-    d = model.dim_v
-    h = np.zeros((cells, d, cells, d), dtype=complex)
-    rows = np.arange(cells)
-    h[rows, :, rows, :] = model.on_site
-    for r in range(1, model.hop_range + 1):
-        rows = np.arange(cells - r)
-        h[rows, :, rows + r, :] = model.right_hops[r - 1]
-        h[rows + r, :, rows, :] = model.left_hops[r - 1]
-    return TruncatedHamiltonian(cells=cells, matrix=h.reshape(cells * d, cells * d), model=model)
+    return TruncatedHamiltonian(cells=cells, matrix=_dense_section(model.symbol(), cells), model=model)
 
 
-def _block_coeffs(cm: ChiralModel, which: str):
-    """Laurent coefficients of the requested graded block, keyed by power."""
-    big_r = cm.hop_range
-    coeffs = {}
-    if which == "pm":
-        coeffs[0] = cm.v_block
-        for r in range(1, big_r + 1):
-            coeffs[r] = cm.a_pm[r - 1]
-            coeffs[-r] = cm.a_mp[r - 1].conj().T
-    elif which == "mp":
-        coeffs[0] = cm.v_block.conj().T
-        for r in range(1, big_r + 1):
-            coeffs[r] = cm.a_mp[r - 1]
-            coeffs[-r] = cm.a_pm[r - 1].conj().T
-    else:
-        raise ValueError(f"unknown block {which!r}")
-    return coeffs
+def _section_diagonals(symbol: MatrixLoop, cells: int):
+    """Block diagonals of the finite section of a symbol on cells 0..cells-1.
+
+    Block (n, m) holds the coefficient of lambda^(m-n), so for the canonical
+    hop-right model the section is a left shift whose kernel sits at the left
+    edge.  Yields (power, coefficient, block rows n of that diagonal).
+    """
+    for j, c in enumerate(symbol.coeffs):
+        power = symbol.lowest_power + j
+        yield power, c, np.arange(max(0, -power), cells - max(0, power))
+
+
+def _dense_section(symbol: MatrixLoop, cells: int) -> np.ndarray:
+    _, rows_dim, cols_dim = symbol.coeffs.shape
+    t = np.zeros((cells, rows_dim, cells, cols_dim), dtype=complex)
+    for power, c, rows in _section_diagonals(symbol, cells):
+        t[rows, :, rows + power, :] = c
+    return t.reshape(cells * rows_dim, cells * cols_dim)
 
 
 def toeplitz_block(cm: ChiralModel, cells: int, which: str = "pm") -> np.ndarray:
-    """Finite section of the half-space graded block operator.
-
-    Block (n, m) holds the coefficient of lambda^(m-n) of the block symbol, so
-    for the canonical hop-right model the section is a left shift whose kernel
-    sits at the left edge.
-    """
-    coeffs = _block_coeffs(cm, which)
-    rows_dim = coeffs[0].shape[0]
-    cols_dim = coeffs[0].shape[1]
-    t = np.zeros((cells, rows_dim, cells, cols_dim), dtype=complex)
-    for power, c in coeffs.items():
-        if power >= 0:
-            rows = np.arange(cells - power)
-            t[rows, :, rows + power, :] = c
-        else:
-            rows = np.arange(-power, cells)
-            t[rows, :, rows + power, :] = c
-    return t.reshape(cells * rows_dim, cells * cols_dim)
+    """Finite section of the half-space graded block operator, as a dense matrix."""
+    return _dense_section(cm.symbol(which), cells)
 
 
 @dataclass(eq=False)
@@ -166,24 +146,6 @@ def _left_localized(vectors: np.ndarray, cells: int) -> tuple[int, np.ndarray]:
     return int(sel.sum()), ortho @ basis[:, sel]
 
 
-def _sparse_toeplitz_block(cm: ChiralModel, cells: int) -> scipy.sparse.csr_matrix:
-    coeffs = _block_coeffs(cm, "pm")
-    rows_dim, cols_dim = coeffs[0].shape
-    data, rows, cols = [], [], []
-    for power, c in coeffs.items():
-        bi, bj = np.nonzero(c)
-        if len(bi) == 0:
-            continue
-        n_arr = np.arange(max(0, -power), cells - max(0, power))
-        rows.append((n_arr[:, None] * rows_dim + bi[None, :]).ravel())
-        cols.append(((n_arr + power)[:, None] * cols_dim + bj[None, :]).ravel())
-        data.append(np.tile(c[bi, bj], len(n_arr)))
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(cells * rows_dim, cells * cols_dim),
-    )
-
-
 def _small_singular_system(gram, smax: float, want: int, tol: Tolerances):
     """Eigenpairs of a Gram matrix below the kernel band, by shift-invert.
 
@@ -218,7 +180,16 @@ def _truncated_kernel_counts(cm: ChiralModel, cells: int, tol: Tolerances):
         near = s[small | ambiguous]
         amb = bool(ambiguous.any())
     else:
-        t = _sparse_toeplitz_block(cm, cells)
+        q = cm.dim_plus
+        data, rows, cols = [], [], []
+        for power, c, n in _section_diagonals(cm.symbol("pm"), cells):
+            bi, bj = np.nonzero(c)
+            rows.append((n[:, None] * q + bi).ravel())
+            cols.append(((n + power)[:, None] * q + bj).ravel())
+            data.append(np.tile(c[bi, bj], len(n)))
+        t = scipy.sparse.csr_matrix(
+            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
+        )
         gram_r = (t.conj().T @ t).tocsc()
         gram_l = (t @ t.conj().T).tocsc()
         v0 = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
@@ -257,7 +228,7 @@ def decay_scale_estimate(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> floa
             eigs = np.concatenate(
                 [block_det_poly_roots(cm, "pm", tol), block_det_poly_roots(cm, "mp", tol)]
             )
-        except Exception:
+        except (NonConvergent, np.linalg.LinAlgError):
             return None
     inside = np.abs(eigs)[np.abs(eigs) < 1.0 - tol.circle_band]
     if len(inside) == 0:
@@ -274,14 +245,6 @@ def _cells_target(cm: ChiralModel, tol: Tolerances):
         return CELLS_MIN_DEFAULT, q
     n = max(CELLS_MIN_DEFAULT, math.ceil(math.log(tol.kernel) / math.log(q)) + 8 * cm.hop_range)
     return n, q
-
-
-def default_cells(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> int | None:
-    """Truncation size making the slowest edge decay drop below the kernel threshold."""
-    target, _ = _cells_target(cm, tol)
-    if target is None:
-        return None
-    return min(target, max(CELLS_MIN_DEFAULT, CELLS_CAP // cm.dim_plus))
 
 
 def edge_modes_truncated(
@@ -375,17 +338,11 @@ def reduced_sector_model(cm: ChiralModel, sector: str) -> ModelParams:
     """
     if not cm.balanced:
         raise UnbalancedGrading("sector reduction needs balanced graded components")
-    if sector == "plus":
-        right = cm.a_pm
-        left = np.conj(np.transpose(cm.a_mp, (0, 2, 1)))
-        on_site = cm.v_block
-    elif sector == "minus":
-        right = cm.a_mp
-        left = np.conj(np.transpose(cm.a_pm, (0, 2, 1)))
-        on_site = cm.v_block.conj().T
-    else:
+    if sector not in ("plus", "minus"):
         raise ValueError(f"unknown sector {sector!r}")
-    return build_model(cm.dim_plus, cm.hop_range, on_site, right, left)
+    planes = cm.symbol("pm" if sector == "plus" else "mp").coeffs
+    big_r = cm.hop_range
+    return build_model(cm.dim_plus, big_r, planes[big_r], planes[big_r + 1 :], planes[big_r - 1 :: -1])
 
 
 def _dirichlet_intersection_dim(basis_down: np.ndarray, dirichlet_zeros: int, tol: Tolerances):
@@ -497,33 +454,3 @@ def in_gap_scan(
         hits.append(ScanHit(energy=float(evals[idx]), localization_length=xi, side=side))
     hits.sort(key=lambda h: h.energy)
     return hits
-
-
-def dirichlet_solution_rank(model: ModelParams, energy: complex, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Rank of the map sending Dirichlet initial data to solution windows.
-
-    Initial data lives on cells 1-R..R with the first R cells zeroed; the rank
-    equals R*d_V because initial data embeds in its own window.
-    """
-    from .companion import propagate
-
-    d, big_r = model.dim_v, model.hop_range
-    comp = build_companion(model, energy, tol)
-    n_dir = big_r * d
-    windows = []
-    for j in range(n_dir):
-        init = np.zeros(2 * big_r * d, dtype=complex)
-        init[n_dir + j] = 1.0
-        mode = propagate(comp, init, steps=2 * big_r, first_cell=1 - big_r)
-        windows.append(mode.window.reshape(-1))
-    return int(np.linalg.matrix_rank(np.column_stack(windows)))
-
-
-def embed_graded(cm: ChiralModel, vec: np.ndarray, sector: str, cells: int) -> np.ndarray:
-    """Lift a sector-space vector (cells x d_sector) into the full cell basis."""
-    idx = cm.plus_idx if sector == "plus" else cm.minus_idx
-    comp = len(idx)
-    v = np.asarray(vec, dtype=complex).reshape(cells, comp)
-    out = np.zeros((cells, cm.dim_v), dtype=complex)
-    out[:, idx] = v
-    return out.reshape(cells * cm.dim_v)

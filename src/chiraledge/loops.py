@@ -1,9 +1,10 @@
 """Constructive homotopies reducing a gapped graded symbol to a diagonal of monomials.
 
-A balanced graded model is equivalent to its lower-left block symbol, a matrix
-Laurent loop invertible on the unit circle.  The pipeline deforms any such
-loop, through loops that stay invertible, to diag(lambda, ..., lambda^-1, ...,
-1, ...) in four moves:
+A balanced graded model is equivalent to its lower-left block symbol
+ChiralModel.symbol("pm"), a MatrixLoop (see models) invertible on the unit
+circle; model_from_loop goes back.  The pipeline deforms any such loop,
+through loops that stay invertible, to diag(lambda, ..., lambda^-1, ..., 1,
+...) in four moves:
 
   1. stabilize by trivial bands and rotate  h (+) 1  to  p (+) lambda^-R 1,
      where p = lambda^R h is polynomial; split each lambda^-R into R copies
@@ -36,58 +37,11 @@ from .config import (
     Tolerances,
 )
 from .errors import CertificateFailed, SpectrumOnCriticalLine, UnbalancedGrading
-from .models import ChiralModel, build_model, chiral_split
+from .models import ChiralModel, MatrixLoop, build_model, chiral_split
 from .winding import winding_of_curve
 
 
 # --- matrix loops -----------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class MatrixLoop:
-    """Laurent loop h(lambda) = sum_j coeffs[j - lowest_power] lambda^j."""
-
-    lowest_power: int
-    coeffs: np.ndarray  # (P, m, m)
-
-    @property
-    def size(self) -> int:
-        return self.coeffs.shape[1]
-
-    @property
-    def highest_power(self) -> int:
-        return self.lowest_power + self.coeffs.shape[0] - 1
-
-    def eval_many(self, lams) -> np.ndarray:
-        lams = np.asarray(lams, dtype=complex)
-        powers = np.arange(self.lowest_power, self.highest_power + 1)
-        weights = lams[:, None] ** powers[None, :]
-        return np.einsum("kp,pij->kij", weights, self.coeffs)
-
-    def __call__(self, lam: complex) -> np.ndarray:
-        return self.eval_many(np.array([lam]))[0]
-
-    def det_fn(self):
-        return lambda lams: np.linalg.det(self.eval_many(lams))
-
-    def min_singular_on_circle(self, num_k: int = 256) -> float:
-        lams = np.exp(2j * np.pi * np.arange(num_k) / num_k)
-        sv = np.linalg.svd(self.eval_many(lams), compute_uv=False)
-        return float(sv[:, -1].min())
-
-    def trimmed(self, rel_tol: float = 1e-12) -> "MatrixLoop":
-        mags = np.array([np.abs(c).max() for c in self.coeffs])
-        floor = rel_tol * max(float(mags.max()), 1e-300)
-        nz = np.flatnonzero(mags > floor)
-        if len(nz) == 0:
-            return MatrixLoop(0, np.zeros((1, self.size, self.size), dtype=complex))
-        lo, hi = int(nz[0]), int(nz[-1])
-        return MatrixLoop(self.lowest_power + lo, self.coeffs[lo : hi + 1].copy())
-
-    @property
-    def natural_range(self) -> int:
-        t = self.trimmed()
-        return max(0, -t.lowest_power, t.highest_power)
 
 
 def monomial_loop(power: int, size: int = 1) -> MatrixLoop:
@@ -119,44 +73,16 @@ def block_diag_loops(loops) -> MatrixLoop:
     return MatrixLoop(lo, coeffs)
 
 
-def loop_from_model(cm: ChiralModel) -> MatrixLoop:
-    """Lower-left block symbol as a loop with powers -R..R (zero planes kept)."""
-    if not cm.balanced:
-        raise UnbalancedGrading("loop extraction needs a square lower-left block")
-    big_r = cm.hop_range
-    q = cm.dim_plus
-    coeffs = np.zeros((2 * big_r + 1, q, q), dtype=complex)
-    coeffs[big_r] = cm.v_block
-    for r in range(1, big_r + 1):
-        coeffs[big_r + r] = cm.a_pm[r - 1]
-        coeffs[big_r - r] = cm.a_mp[r - 1].conj().T
-    return MatrixLoop(-big_r, coeffs)
-
-
 def model_from_loop(loop: MatrixLoop, tol: Tolerances = DEFAULT_TOL) -> ChiralModel:
     """Balanced graded model whose lower-left block symbol is the given loop."""
     m = loop.size
     big_r = max(1, -loop.lowest_power, loop.highest_power)
-    v = np.zeros((m, m), dtype=complex)
-    a_pm = np.zeros((big_r, m, m), dtype=complex)
-    a_mp = np.zeros((big_r, m, m), dtype=complex)
-    for j, c in enumerate(loop.coeffs):
-        power = loop.lowest_power + j
-        if power == 0:
-            v = c
-        elif power > 0:
-            a_pm[power - 1] = c
-        else:
-            a_mp[-power - 1] = c.conj().T
-    d = 2 * m
-    on_site = np.zeros((d, d), dtype=complex)
-    on_site[m:, :m] = v
-    on_site[:m, m:] = v.conj().T
-    hops = np.zeros((big_r, d, d), dtype=complex)
-    for r in range(big_r):
-        hops[r, m:, :m] = a_pm[r]
-        hops[r, :m, m:] = a_mp[r]
-    model = build_model(d, big_r, on_site, hops, tol=tol)
+    # Symbol of the full model on (+ sector, - sector): [[0, h*], [h, 0]].
+    planes = np.zeros((2 * big_r + 1, 2 * m, 2 * m), dtype=complex)
+    lo = big_r + loop.lowest_power
+    planes[lo : lo + loop.coeffs.shape[0], m:, :m] = loop.coeffs
+    planes[:, :m, m:] = MatrixLoop(-big_r, planes[:, m:, :m]).adjoint().coeffs
+    model = build_model(2 * m, big_r, planes[big_r], planes[big_r + 1 :], tol=tol)
     grading = np.array([1] * m + [-1] * m)
     return chiral_split(model, grading, tol=tol)
 
@@ -760,7 +686,7 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
     """
     if not cm.balanced:
         raise UnbalancedGrading("deformation needs a balanced graded model")
-    loop = loop_from_model(cm).trimmed()
+    loop = cm.symbol("pm").trimmed()
     hop_range = loop.natural_range
     builder = _Builder(loop.eval_many, loop.size)
 

@@ -1,19 +1,22 @@
-"""Bulk lattice Hamiltonians: validated parameter sets, gradings, and momentum-space matrices.
+"""Bulk lattice Hamiltonians: validated parameter sets, gradings, and their Laurent symbols.
 
 A model is the data (V, A_1..A_R, B_1..B_R) of on-site, right-hopping and
-left-hopping matrices acting on a d_V-dimensional unit cell.  The
-momentum-space matrix at exponentiated momentum lambda is
+left-hopping matrices acting on a d_V-dimensional unit cell.  Its symbol is
+the matrix Laurent loop
 
     H(lambda) = V + sum_r (lambda^-r B_r + lambda^r A_r),
 
 Hermitian on the unit circle whenever the model is self-adjoint
 (V = V*, B_r = A_r*).  A grading splits the cell space into +/- sectors;
 for models anticommuting with it, H(lambda) is block off-diagonal with lower-left
-block h_pm and upper-right block h_mp.
+block h_pm and upper-right block h_mp.  ModelParams.symbol() and
+ChiralModel.symbol(which) return these loops as MatrixLoop, the one
+representation of Laurent coefficients that every other module reads.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,6 +43,64 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _adjoints(planes: np.ndarray) -> np.ndarray:
+    return np.conj(np.transpose(planes, (0, 2, 1)))
+
+
+@dataclass(frozen=True, eq=False)
+class MatrixLoop:
+    """Laurent loop h(lambda) = sum_j coeffs[j - lowest_power] lambda^j."""
+
+    lowest_power: int
+    coeffs: np.ndarray  # (P, rows, cols)
+
+    @property
+    def size(self) -> int:
+        return self.coeffs.shape[1]
+
+    @property
+    def highest_power(self) -> int:
+        return self.lowest_power + self.coeffs.shape[0] - 1
+
+    def eval_many(self, lams) -> np.ndarray:
+        """Stacked h(lambda) over an array of momenta; shape lams.shape + (rows, cols)."""
+        lams = np.asarray(lams, dtype=complex)
+        powers = np.arange(self.lowest_power, self.highest_power + 1)
+        if self.lowest_power < 0 and np.any(lams == 0):
+            raise ZeroMomentum("exponentiated momentum must be nonzero")
+        weights = lams[..., None] ** powers
+        return (weights @ self.coeffs.reshape(len(powers), -1)).reshape(lams.shape + self.coeffs.shape[1:])
+
+    def __call__(self, lam: complex) -> np.ndarray:
+        return self.eval_many(np.array([lam]))[0]
+
+    def det_fn(self):
+        return lambda lams: np.linalg.det(self.eval_many(lams))
+
+    def lipschitz_bound(self) -> float:
+        """Upper bound on ||dh(e^{ik})/dk||: the sum of |j| ||c_j|| over the coefficients."""
+        powers = range(self.lowest_power, self.highest_power + 1)
+        return float(sum(abs(p) * np.linalg.norm(c, 2) for p, c in zip(powers, self.coeffs) if p))
+
+    def adjoint(self) -> "MatrixLoop":
+        """The loop lambda -> h(1/conj(lambda))*, equal to h(lambda)* on the unit circle."""
+        return MatrixLoop(-self.highest_power, _adjoints(self.coeffs[::-1]))
+
+    def trimmed(self, rel_tol: float = 1e-12) -> "MatrixLoop":
+        mags = np.array([np.abs(c).max() for c in self.coeffs])
+        floor = rel_tol * max(float(mags.max()), 1e-300)
+        nz = np.flatnonzero(mags > floor)
+        if len(nz) == 0:
+            return MatrixLoop(0, np.zeros((1, self.size, self.size), dtype=complex))
+        lo, hi = int(nz[0]), int(nz[-1])
+        return MatrixLoop(self.lowest_power + lo, self.coeffs[lo : hi + 1].copy())
+
+    @property
+    def natural_range(self) -> int:
+        t = self.trimmed()
+        return max(0, -t.lowest_power, t.highest_power)
+
+
 @dataclass(frozen=True, eq=False)
 class ModelParams:
     """Validated bulk parameters of a finite-range lattice Hamiltonian."""
@@ -54,18 +115,12 @@ class ModelParams:
     @property
     def norm_scale(self) -> float:
         """Largest operator norm among the coefficient matrices, floored at 1."""
-        norms = [np.linalg.norm(self.on_site, 2)]
-        norms += [np.linalg.norm(m, 2) for m in self.right_hops]
-        norms += [np.linalg.norm(m, 2) for m in self.left_hops]
-        return max(1.0, *norms)
+        return max(1.0, *(np.linalg.norm(c, 2) for c in self.symbol().coeffs))
 
-    def lipschitz_bound(self) -> float:
-        """Upper bound on ||dH(e^{ik})/dk|| from the coefficient norms."""
-        return float(
-            sum(
-                (r + 1) * (np.linalg.norm(self.right_hops[r], 2) + np.linalg.norm(self.left_hops[r], 2))
-                for r in range(self.hop_range)
-            )
+    def symbol(self) -> MatrixLoop:
+        """H(lambda) as a loop with powers -R..R."""
+        return MatrixLoop(
+            -self.hop_range, np.concatenate([self.left_hops[::-1], self.on_site[None], self.right_hops])
         )
 
 
@@ -93,7 +148,7 @@ def build_model(dim_v, hop_range, on_site, right_hops, left_hops=None, tol: Tole
             f"right_hops has shape {right.shape}, expected {(hop_range, dim_v, dim_v)}"
         )
     if left_hops is None:
-        left = np.conj(np.transpose(right, (0, 2, 1)))
+        left = _adjoints(right)
     else:
         left = np.asarray(left_hops, dtype=complex)
         if left.shape != (hop_range, dim_v, dim_v):
@@ -101,17 +156,12 @@ def build_model(dim_v, hop_range, on_site, right_hops, left_hops=None, tol: Tole
                 f"left_hops has shape {left.shape}, expected {(hop_range, dim_v, dim_v)}"
             )
 
-    scale = max(
-        1.0,
-        np.linalg.norm(on_site, 2),
-        *[np.linalg.norm(m, 2) for m in right],
-        *[np.linalg.norm(m, 2) for m in left],
-    )
-    thresh = tol.structural * scale
+    model = ModelParams(dim_v, hop_range, _freeze(on_site), _freeze(right), _freeze(left), False)
+    thresh = tol.structural * model.norm_scale
     sa = np.linalg.norm(on_site - on_site.conj().T, 2) <= thresh and all(
         np.linalg.norm(left[r] - right[r].conj().T, 2) <= thresh for r in range(hop_range)
     )
-    return ModelParams(dim_v, hop_range, _freeze(on_site), _freeze(right), _freeze(left), bool(sa))
+    return dataclasses.replace(model, self_adjoint=bool(sa))
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,6 +197,15 @@ class ChiralModel:
 
     def gamma(self) -> np.ndarray:
         return np.diag(self.grading.astype(complex))
+
+    def symbol(self, which: str) -> MatrixLoop:
+        """Graded block h_pm ("pm") or h_mp ("mp") of H(lambda) as a loop with powers -R..R."""
+        if which not in ("pm", "mp"):
+            raise ValueError(f"unknown block {which!r}")
+        h_pm = MatrixLoop(
+            -self.hop_range, np.concatenate([_adjoints(self.a_mp)[::-1], self.v_block[None], self.a_pm])
+        )
+        return h_pm if which == "pm" else h_pm.adjoint()
 
 
 def chiral_split(model: ModelParams, grading, tol: Tolerances = DEFAULT_TOL) -> ChiralModel:
@@ -189,39 +248,19 @@ def chiral_split(model: ModelParams, grading, tol: Tolerances = DEFAULT_TOL) -> 
     a_pm = np.stack([a[np.ix_(minus_idx, plus_idx)] for a in model.right_hops])
     a_mp = np.stack([a[np.ix_(plus_idx, minus_idx)] for a in model.right_hops])
     grading = grading.copy()
-    grading.flags.writeable = False
+    for a in (grading, plus_idx, minus_idx):
+        a.flags.writeable = False
     return ChiralModel(
         base=model,
         grading=grading,
-        plus_idx=_freeze_int(plus_idx),
-        minus_idx=_freeze_int(minus_idx),
+        plus_idx=plus_idx,
+        minus_idx=minus_idx,
         dim_plus=len(plus_idx),
         dim_minus=len(minus_idx),
         v_block=_freeze(v_block),
         a_pm=_freeze(a_pm),
         a_mp=_freeze(a_mp),
     )
-
-
-def _freeze_int(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
-
-
-def reassemble(cm: ChiralModel) -> ModelParams:
-    """Rebuild the full model from graded blocks; inverse of chiral_split."""
-    d = cm.dim_v
-    on_site = np.zeros((d, d), dtype=complex)
-    on_site[np.ix_(cm.minus_idx, cm.plus_idx)] = cm.v_block
-    on_site[np.ix_(cm.plus_idx, cm.minus_idx)] = cm.v_block.conj().T
-    hops = []
-    for r in range(cm.hop_range):
-        a = np.zeros((d, d), dtype=complex)
-        a[np.ix_(cm.minus_idx, cm.plus_idx)] = cm.a_pm[r]
-        a[np.ix_(cm.plus_idx, cm.minus_idx)] = cm.a_mp[r]
-        hops.append(a)
-    return build_model(d, cm.hop_range, on_site, np.stack(hops))
 
 
 def detect_grading(model: ModelParams, tol: Tolerances = DEFAULT_TOL):
@@ -250,81 +289,6 @@ def detect_grading(model: ModelParams, tol: Tolerances = DEFAULT_TOL):
                 elif color[j] == color[i]:
                     return None
     return color
-
-
-@dataclass(frozen=True, eq=False)
-class BlochSample:
-    """Momentum-space matrix at a single nonzero lambda, with graded blocks when known."""
-
-    lam: complex
-    matrix: np.ndarray
-    h_pm: np.ndarray | None = None
-    h_mp: np.ndarray | None = None
-
-
-def bloch_matrix(model: ModelParams, lam: complex) -> np.ndarray:
-    lam = complex(lam)
-    if lam == 0:
-        raise ZeroMomentum("exponentiated momentum must be nonzero")
-    h = model.on_site.astype(complex).copy()
-    for r in range(1, model.hop_range + 1):
-        h += lam ** (-r) * model.left_hops[r - 1] + lam**r * model.right_hops[r - 1]
-    return h
-
-
-def bloch_curve(model: ModelParams, lams: np.ndarray) -> np.ndarray:
-    """Stacked H(lambda) over an array of momenta; shape (K, d, d)."""
-    lams = np.asarray(lams, dtype=complex)
-    if np.any(lams == 0):
-        raise ZeroMomentum("exponentiated momentum must be nonzero")
-    out = np.broadcast_to(model.on_site, lams.shape + model.on_site.shape).astype(complex).copy()
-    for r in range(1, model.hop_range + 1):
-        out += (lams ** (-r))[..., None, None] * model.left_hops[r - 1]
-        out += (lams**r)[..., None, None] * model.right_hops[r - 1]
-    return out
-
-
-def h_pm_curve(cm: ChiralModel, lams: np.ndarray) -> np.ndarray:
-    """Lower-left graded block of H(lambda) over an array of momenta."""
-    lams = np.asarray(lams, dtype=complex)
-    if np.any(lams == 0):
-        raise ZeroMomentum("exponentiated momentum must be nonzero")
-    out = np.broadcast_to(cm.v_block, lams.shape + cm.v_block.shape).astype(complex).copy()
-    for r in range(1, cm.hop_range + 1):
-        out += (lams ** (-r))[..., None, None] * cm.a_mp[r - 1].conj().T
-        out += (lams**r)[..., None, None] * cm.a_pm[r - 1]
-    return out
-
-
-def h_mp_curve(cm: ChiralModel, lams: np.ndarray) -> np.ndarray:
-    """Upper-right graded block of H(lambda) over an array of momenta."""
-    lams = np.asarray(lams, dtype=complex)
-    if np.any(lams == 0):
-        raise ZeroMomentum("exponentiated momentum must be nonzero")
-    out = np.broadcast_to(cm.v_block.conj().T, lams.shape + cm.v_block.T.shape).astype(complex).copy()
-    for r in range(1, cm.hop_range + 1):
-        out += (lams ** (-r))[..., None, None] * cm.a_pm[r - 1].conj().T
-        out += (lams**r)[..., None, None] * cm.a_mp[r - 1]
-    return out
-
-
-def bloch_at(model, lam: complex) -> BlochSample:
-    """Momentum-space sample; accepts a ModelParams or a ChiralModel.
-
-    For a chiral model the matrix is assembled from the graded blocks, so its
-    diagonal blocks vanish identically.
-    """
-    if isinstance(model, ChiralModel):
-        cm = model
-        lam = complex(lam)
-        h_pm = h_pm_curve(cm, np.array([lam]))[0]
-        h_mp = h_mp_curve(cm, np.array([lam]))[0]
-        d = cm.dim_v
-        full = np.zeros((d, d), dtype=complex)
-        full[np.ix_(cm.minus_idx, cm.plus_idx)] = h_pm
-        full[np.ix_(cm.plus_idx, cm.minus_idx)] = h_mp
-        return BlochSample(lam=lam, matrix=full, h_pm=h_pm, h_mp=h_mp)
-    return BlochSample(lam=complex(lam), matrix=bloch_matrix(model, lam))
 
 
 # --- model file format ------------------------------------------------------

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import NUM_K_CAP, NUM_K_DEFAULT
 from .errors import GapNotCertified, NotSelfAdjoint, UnbalancedGrading
-from .models import ChiralModel, ModelParams, bloch_curve, h_pm_curve
+from .models import ChiralModel, ModelParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,9 +44,9 @@ def band_structure(model: ModelParams, num_k: int = NUM_K_DEFAULT) -> BandStruct
     if num_k < 8:
         raise ValueError(f"num_k must be at least 8, got {num_k}")
     ks = -np.pi + 2.0 * np.pi * np.arange(num_k) / num_k
-    hs = bloch_curve(model, np.exp(1j * ks))
-    energies = np.linalg.eigvalsh(hs)
-    return BandStructure(ks=ks, energies=energies, lipschitz_bound=model.lipschitz_bound())
+    symbol = model.symbol()
+    energies = np.linalg.eigvalsh(symbol.eval_many(np.exp(1j * ks)))
+    return BandStructure(ks=ks, energies=energies, lipschitz_bound=symbol.lipschitz_bound())
 
 
 def detect_gap(bands: BandStructure, around_energy: float | None = None) -> GapReport:
@@ -110,7 +110,7 @@ def chiral_gap_margin(cm: ChiralModel, num_k: int = NUM_K_DEFAULT) -> float:
     if not cm.balanced:
         raise UnbalancedGrading("gap margin at zero energy needs a square h_pm block")
     ks = -np.pi + 2.0 * np.pi * np.arange(num_k) / num_k
-    blocks = h_pm_curve(cm, np.exp(1j * ks))
+    blocks = cm.symbol("pm").eval_many(np.exp(1j * ks))
     sv = np.linalg.svd(blocks, compute_uv=False)
     return float(sv[:, -1].min())
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, WINDING_SAMPLE_CAP, Tolerances
 from .errors import GapNotCertified, NonConvergent, UnbalancedGrading
-from .models import ChiralModel, h_mp_curve, h_pm_curve
+from .models import ChiralModel
 
 
 @dataclass(frozen=True)
@@ -78,21 +78,12 @@ def winding_of_curve(
     return w, len(ks), amin, amax
 
 
-def _det_block_curve(cm: ChiralModel, which: str):
-    curve = h_pm_curve if which == "pm" else h_mp_curve
-
-    def f(lams):
-        return np.linalg.det(curve(cm, lams))
-
-    return f
-
-
 def winding_phase(cm: ChiralModel, initial_samples: int = 512, tol: Tolerances = DEFAULT_TOL) -> WindingResult:
     """Winding of det h_pm by adaptive phase unwrapping (primary method)."""
     if not cm.balanced:
         raise UnbalancedGrading("winding needs a square h_pm block")
     w, used, amin, _ = winding_of_curve(
-        _det_block_curve(cm, "pm"),
+        cm.symbol("pm").det_fn(),
         initial_samples=initial_samples,
         integer_tol=tol.winding_integer,
     )
@@ -114,8 +105,7 @@ def block_det_poly_coeffs(cm: ChiralModel, which: str = "pm", tol: Tolerances = 
     degree = 2 * big_r * q
     m = 4 * big_r * q + 1
     omegas = np.exp(2j * np.pi * np.arange(m) / m)
-    f = _det_block_curve(cm, which)
-    ys = omegas ** (big_r * q) * f(omegas)
+    ys = omegas ** (big_r * q) * cm.symbol(which).det_fn()(omegas)
     vand = omegas[:, None] ** np.arange(degree + 1)[None, :]
     coeffs, *_ = np.linalg.lstsq(vand, ys, rcond=None)
     residual = np.linalg.norm(vand @ coeffs - ys) / max(1.0, float(np.linalg.norm(ys)))

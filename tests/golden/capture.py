@@ -11,7 +11,10 @@ root:
 
     PYTHONPATH=src python3 tests/golden/capture.py
 
-Each invocation then runs as its own `python -m chiraledge` process.
+Each invocation then runs as its own `python -m chiraledge` process.  Capture
+and compare with the same BLAS build and thread count: some printed values are
+numerical zeros, such as a kernel singular value of 2e-15, and their digits
+change with OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations

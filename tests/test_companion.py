@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from chiraledge.companion import (
     LatticeMode,
-    algebraic_multiplicity,
     build_companion,
     char_poly_residual,
     cluster_eigenvalues,
@@ -24,6 +23,15 @@ from chiraledge.models import build_model
 from chiraledge.spectrum import certified_gap
 
 from test_models import random_self_adjoint
+
+
+def algebraic_multiplicity(matrix: np.ndarray, mu: complex, power: int, rel_tol: float = 1e-8) -> int:
+    """Nullity of (matrix - mu)^power by singular-value rank, probing Jordan structure."""
+    m = np.linalg.matrix_power(matrix - complex(mu) * np.eye(matrix.shape[0]), power)
+    sv = np.linalg.svd(m, compute_uv=False)
+    if sv[0] == 0:
+        return matrix.shape[0]
+    return int(np.sum(sv <= rel_tol * sv[0]))
 
 
 def scalar_chain():

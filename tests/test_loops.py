@@ -4,15 +4,14 @@ import pytest
 from chiraledge.errors import SpectrumOnCriticalLine
 from chiraledge.fixtures import defective, dimerized_plus, dimerized_trivial, ssh
 from chiraledge.loops import (
-    MatrixLoop,
     full_deformation,
     linearize,
-    loop_from_model,
     model_from_loop,
     monomial_loop,
     projectionize,
     stabilize_and_factor,
 )
+from chiraledge.models import MatrixLoop
 from chiraledge.verify import EnsembleSpec, random_chiral_ensemble
 from chiraledge.winding import winding_of_curve
 
@@ -25,25 +24,25 @@ def loop_values_close(a: MatrixLoop, b: MatrixLoop, lams=None) -> bool:
 
 class TestLoopModelRoundTrip:
     def test_fixture_loops(self):
-        assert loop_values_close(loop_from_model(dimerized_plus()), monomial_loop(1))
+        assert loop_values_close(dimerized_plus().symbol("pm"), monomial_loop(1))
         assert loop_values_close(
-            loop_from_model(dimerized_trivial()), monomial_loop(0)
+            dimerized_trivial().symbol("pm"), monomial_loop(0)
         )
         t1, t2 = 0.7, -1.4
         expected = MatrixLoop(0, np.array([[[t1]], [[t2]]], dtype=complex))
-        assert loop_values_close(loop_from_model(ssh(t1, t2)), expected)
+        assert loop_values_close(ssh(t1, t2).symbol("pm"), expected)
 
     def test_model_round_trip(self):
         for cm in (dimerized_plus(), ssh(1.1, 0.4), defective(0.6)):
-            loop = loop_from_model(cm)
+            loop = cm.symbol("pm")
             back = model_from_loop(loop)
             assert np.allclose(back.base.on_site, cm.base.on_site)
             assert np.allclose(back.base.right_hops, cm.base.right_hops)
 
     def test_ensemble_round_trip(self):
         for cm in random_chiral_ensemble(EnsembleSpec(seed=9, count=5, dim_v=4, hop_range=2, gap_floor=0.05)):
-            back = model_from_loop(loop_from_model(cm))
-            assert loop_values_close(loop_from_model(back), loop_from_model(cm))
+            back = model_from_loop(cm.symbol("pm"))
+            assert loop_values_close(back.symbol("pm"), cm.symbol("pm"))
 
 
 class TestStabilizeAndFactor:
@@ -56,7 +55,7 @@ class TestStabilizeAndFactor:
         assert all(c > 0 for c in path.certificates)
 
     def test_dimerized_factoring(self):
-        path = stabilize_and_factor(loop_from_model(dimerized_plus()).trimmed(), hop_range=1)
+        path = stabilize_and_factor(dimerized_plus().symbol("pm").trimmed(), hop_range=1)
         poly = path.notes["poly"]
         # p = lambda^2, endpoint p (+) lambda^-1.
         w, *_ = winding_of_curve(poly.det_fn())
@@ -64,7 +63,7 @@ class TestStabilizeAndFactor:
         assert set(path.winding_per_stage) == {1}
 
     def test_defective_poly_winding(self):
-        path = stabilize_and_factor(loop_from_model(defective(0.0)))
+        path = stabilize_and_factor(defective(0.0).symbol("pm"))
         poly = path.notes["poly"]
         # Frozen oracle: p = 1/4 + lambda + lambda^2 has both roots inside
         # the unit circle, so its winding is W + R q = 2.
@@ -86,7 +85,7 @@ class TestLinearize:
         assert linearize(p) is p
 
     def test_defective_poly(self):
-        path = stabilize_and_factor(loop_from_model(defective(0.0)))
+        path = stabilize_and_factor(defective(0.0).symbol("pm"))
         ell = linearize(path.notes["poly"])
         assert ell.size == 2
         w, *_ = winding_of_curve(ell.det_fn())
@@ -117,7 +116,7 @@ class TestProjectionize:
         assert set(path.winding_per_stage) == {0}
 
     def test_linearized_defective_rank_two(self):
-        path = stabilize_and_factor(loop_from_model(defective(0.0)))
+        path = stabilize_and_factor(defective(0.0).symbol("pm"))
         ell = linearize(path.notes["poly"])
         _, rank = projectionize(ell)
         assert rank == 2

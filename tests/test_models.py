@@ -15,19 +15,34 @@ from chiraledge.errors import (
 )
 from chiraledge.fixtures import defective, dimerized_plus, dimerized_trivial, ssh
 from chiraledge.models import (
-    bloch_at,
-    bloch_matrix,
+    ChiralModel,
+    MatrixLoop,
+    ModelParams,
     build_model,
     chiral_split,
     detect_grading,
     load_model,
     model_from_dict,
     model_to_dict,
-    reassemble,
     save_model,
 )
 
 HOP = np.array([[0, 0], [1, 0]], dtype=complex)
+
+
+def reassemble(cm: ChiralModel) -> ModelParams:
+    """Rebuild the full model from graded blocks; inverse of chiral_split."""
+    d = cm.dim_v
+    on_site = np.zeros((d, d), dtype=complex)
+    on_site[np.ix_(cm.minus_idx, cm.plus_idx)] = cm.v_block
+    on_site[np.ix_(cm.plus_idx, cm.minus_idx)] = cm.v_block.conj().T
+    hops = []
+    for r in range(cm.hop_range):
+        a = np.zeros((d, d), dtype=complex)
+        a[np.ix_(cm.minus_idx, cm.plus_idx)] = cm.a_pm[r]
+        a[np.ix_(cm.plus_idx, cm.minus_idx)] = cm.a_mp[r]
+        hops.append(a)
+    return build_model(d, cm.hop_range, on_site, np.stack(hops))
 
 
 def random_self_adjoint(rng, d, r):
@@ -112,28 +127,33 @@ class TestChiralSplit:
 class TestBloch:
     def test_dimerized_matrix(self):
         lam = 0.7 + 0.2j
-        s = bloch_at(dimerized_plus(), lam)
+        h = dimerized_plus().base.symbol()(lam)
         expected = np.array([[0, 1 / lam], [lam, 0]])
-        assert np.allclose(s.matrix, expected)
+        assert np.allclose(h, expected)
 
     def test_lambda_one_collapses_powers(self):
         m = ssh(0.9, 1.7).base
-        s = bloch_at(m, 1.0)
         expected = m.on_site + m.right_hops[0] + m.left_hops[0]
-        assert np.allclose(s.matrix, expected)
+        assert np.allclose(m.symbol()(1.0), expected)
 
     def test_defective_family_entries(self):
         theta, lam = 0.37, 1.2 - 0.4j
-        s = bloch_at(defective(theta), lam)
+        cm = defective(theta)
         upper = np.exp(-1j * theta) / lam + 1 + 0.25 * np.exp(1j * theta) * lam
         lower = 0.25 * np.exp(-1j * theta) / lam + 1 + np.exp(1j * theta) * lam
-        assert np.allclose(s.h_mp[0, 0], upper)
-        assert np.allclose(s.h_pm[0, 0], lower)
-        assert s.matrix[0, 0] == 0 and s.matrix[1, 1] == 0
+        assert np.allclose(cm.symbol("mp")(lam)[0, 0], upper)
+        assert np.allclose(cm.symbol("pm")(lam)[0, 0], lower)
+        h = cm.base.symbol()(lam)
+        assert h[0, 0] == 0 and h[1, 1] == 0
+        assert np.allclose(h[1, 0], lower) and np.allclose(h[0, 1], upper)
 
     def test_zero_momentum_rejected(self):
-        with pytest.raises(ZeroMomentum):
-            bloch_matrix(dimerized_plus().base, 0.0)
+        cm = dimerized_plus()
+        for loop in (cm.base.symbol(), cm.symbol("pm"), cm.symbol("mp")):
+            with pytest.raises(ZeroMomentum):
+                loop(0.0)
+            with pytest.raises(ZeroMomentum):
+                loop.eval_many(np.array([1.0, 0.0]))
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -146,16 +166,28 @@ class TestBloch:
             lam = 1.0 + 1.0j
         rng = np.random.default_rng(seed)
         m = random_self_adjoint(rng, d=rng.integers(1, 4), r=rng.integers(1, 3))
-        lhs = bloch_matrix(m, lam).conj().T
-        rhs = bloch_matrix(m, np.conj(1.0 / lam))
+        lhs = m.symbol()(lam).conj().T
+        rhs = m.symbol()(np.conj(1.0 / lam))
         scale = max(1.0, np.linalg.norm(lhs))
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * scale
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_eval_matches_term_by_term_sum(self, seed):
+        rng = np.random.default_rng(seed)
+        lo, planes = int(rng.integers(-3, 2)), int(rng.integers(1, 6))
+        shape = (planes, int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        lams = rng.uniform(0.5, 2.0, 7) * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
+        terms = np.array([[lam ** (lo + j) * c for j, c in enumerate(coeffs)] for lam in lams])
+        # Forward error of a sum of at most 5 complex products, with margin.
+        bound = 1e-14 * np.abs(terms).sum(axis=1)
+        assert np.all(np.abs(MatrixLoop(lo, coeffs).eval_many(lams) - terms.sum(axis=1)) <= bound)
 
     def test_chiral_anticommutation_exact(self):
         cm = defective(1.1)
         gamma = cm.gamma()
-        s = bloch_at(cm, 0.6 + 0.1j)
-        assert np.array_equal(gamma @ s.matrix @ gamma, -s.matrix)
+        h = cm.base.symbol()(0.6 + 0.1j)
+        assert np.array_equal(gamma @ h @ gamma, -h)
 
 
 class TestModelFiles:

@@ -4,7 +4,6 @@ from hypothesis import assume, given, strategies as st
 
 from chiraledge.errors import GapNotCertified, UnbalancedGrading
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
-from chiraledge.models import h_mp_curve
 from chiraledge.verify import EnsembleSpec, random_chiral_ensemble
 from chiraledge.winding import (
     block_det_poly_coeffs,
@@ -111,7 +110,7 @@ class TestMethodAgreement:
     def test_antisymmetry_of_blocks(self):
         for cm in (dimerized_plus(), ssh(1, 2), defective(0.8)):
             w = winding_phase(cm).winding
-            w_mp, *_ = winding_of_curve(lambda lams, cm=cm: np.linalg.det(h_mp_curve(cm, lams)))
+            w_mp, *_ = winding_of_curve(cm.symbol("mp").det_fn())
             assert w_mp == -w
 
     def test_range_bound_two_band(self):
