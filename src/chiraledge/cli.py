@@ -2,7 +2,9 @@
 
 Every JSON/CSV output embeds the tool version, a hash of the input model, the
 seed, and the tolerances in force.  Floats are rounded to 12 significant
-digits so repeated runs are byte-identical.
+digits so repeated runs are byte-identical at the same BLAS build and thread
+count; printed numerical zeros such as singular_values_near_zero change digits
+with OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations

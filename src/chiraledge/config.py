@@ -53,6 +53,10 @@ CERT_GRID_CAP = 2**12
 
 # Half-space truncation sizes.  Dense SVD up to DENSE_SVD_MAX matrix dimension;
 # beyond that the kernel count switches to sparse shift-invert eigensolves.
+# The kernel threshold scale smax is the section's largest singular value on
+# the dense path and the symbol's MatrixLoop.norm_bound() on the sparse path;
+# both are valid because a finite section's norm is at most the sup of
+# ||h_pm(lambda)|| over the unit circle.
 CELLS_MIN_DEFAULT = 64
 CELLS_CAP = 32768
 DENSE_SVD_MAX = 768

@@ -11,6 +11,13 @@ truncated Hamiltonian and blocks are finite sections of the symbols
 ModelParams.symbol() and ChiralModel.symbol("pm"/"mp"); _section_diagonals
 lays out every section, dense or sparse.  The truncation has a spurious right
 edge, so only left-localized kernel directions are counted.
+
+Kernel singular values are judged against tol.kernel * smax.  The dense path
+takes smax as the section's largest singular value, which its SVD gives for
+free; the sparse path takes it from MatrixLoop.norm_bound() of h_pm, a
+rigorous upper bound on sup over |lambda| = 1 of ||h_pm(lambda)||.  Both are
+valid scales because a finite section's norm is at most that supremum, the
+norm of the half-infinite Toeplitz operator (Boettcher & Silbermann).
 """
 
 from __future__ import annotations
@@ -181,8 +188,9 @@ def _truncated_kernel_counts(cm: ChiralModel, cells: int, tol: Tolerances):
         amb = bool(ambiguous.any())
     else:
         q = cm.dim_plus
+        symbol = cm.symbol("pm")
         data, rows, cols = [], [], []
-        for power, c, n in _section_diagonals(cm.symbol("pm"), cells):
+        for power, c, n in _section_diagonals(symbol, cells):
             bi, bj = np.nonzero(c)
             rows.append((n[:, None] * q + bi).ravel())
             cols.append(((n + power)[:, None] * q + bj).ravel())
@@ -192,10 +200,7 @@ def _truncated_kernel_counts(cm: ChiralModel, cells: int, tol: Tolerances):
         )
         gram_r = (t.conj().T @ t).tocsc()
         gram_l = (t @ t.conj().T).tocsc()
-        v0 = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-        smax = math.sqrt(
-            float(scipy.sparse.linalg.eigsh(gram_r, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
-        )
+        smax = symbol.norm_bound()
         want = 4 * cm.hop_range * cm.dim_plus + 8
         while True:
             s_r, vec_r, small_r, amb_r, complete_r = _small_singular_system(gram_r, smax, want, tol)

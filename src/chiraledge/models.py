@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL, NUM_K_DEFAULT, Tolerances
 from .errors import (
     NotChiral,
     NotSelfAdjoint,
@@ -81,6 +81,17 @@ class MatrixLoop:
         """Upper bound on ||dh(e^{ik})/dk||: the sum of |j| ||c_j|| over the coefficients."""
         powers = range(self.lowest_power, self.highest_power + 1)
         return float(sum(abs(p) * np.linalg.norm(c, 2) for p, c in zip(powers, self.coeffs) if p))
+
+    def norm_bound(self) -> float:
+        """Upper bound on the sup of ||h(lambda)||_2 over |lambda| = 1, hence on every finite section's norm.
+
+        The sampled max on the uniform NUM_K_DEFAULT grid plus
+        lipschitz_bound() * pi / NUM_K_DEFAULT: every point of the circle lies
+        within half a grid step of a sample, the argument detect_gap uses.
+        """
+        ks = -np.pi + 2.0 * np.pi * np.arange(NUM_K_DEFAULT) / NUM_K_DEFAULT
+        sampled = np.linalg.svd(self.eval_many(np.exp(1j * ks)), compute_uv=False)[:, 0].max()
+        return float(sampled) + self.lipschitz_bound() * np.pi / NUM_K_DEFAULT
 
     def adjoint(self) -> "MatrixLoop":
         """The loop lambda -> h(1/conj(lambda))*, equal to h(lambda)* on the unit circle."""

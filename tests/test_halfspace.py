@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from chiraledge import winding
 from chiraledge.companion import build_companion, propagate
+from chiraledge.config import DENSE_SVD_MAX
 from chiraledge.errors import AmbiguousKernel, GapNotCertified, NonConvergent, SingularLeadingHop, TooFewCells
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
 from chiraledge.halfspace import (
@@ -189,12 +191,40 @@ class TestEdgeModesTruncated:
         with pytest.raises(GapNotCertified):
             edge_modes_truncated(ssh(1, 1))
 
-    def test_sparse_path_matches_dense(self):
-        # Force the sparse branch with a large truncation and compare counts.
-        cm = ssh(1.0, 1.3)
-        dense = edge_modes_truncated(cm, cells=300)
-        sparse = edge_modes_truncated(cm, cells=900)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ssh(1.0, 1.3),
+            lambda: defective(theta=0.5),
+            lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=4, hop_range=2))[2],
+        ],
+        ids=["ssh", "defective", "random-4-2"],
+    )
+    def test_sparse_path_matches_dense(self, make):
+        # The largest section on the dense path against the smallest on the
+        # sparse path; with explicit cells an ambiguous count would raise.
+        cm = make()
+        cells = DENSE_SVD_MAX // cm.dim_plus
+        assert (cells + 1) * cm.dim_plus > DENSE_SVD_MAX
+        dense = edge_modes_truncated(cm, cells=cells)
+        sparse = edge_modes_truncated(cm, cells=cells + 1)
         assert (dense.dim_ker_pm, dense.dim_ker_mp) == (sparse.dim_ker_pm, sparse.dim_ker_mp)
+
+    def test_slow_decay_needs_no_largest_eigenvalue_solve(self, monkeypatch):
+        # smax must come from the symbol's norm bound: an ARPACK largest-
+        # eigenvalue solve on this 3224-cell section needs ~47k matvecs (~9.5 s).
+        calls = []
+        eigsh = scipy.sparse.linalg.eigsh
+
+        def recording_eigsh(*args, **kwargs):
+            calls.append(kwargs.get("sigma"))
+            return eigsh(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording_eigsh)
+        report = edge_modes_truncated(ssh(0.995, 1.0))
+        assert (report.dim_ker_pm, report.dim_ker_mp) == (1, 0)
+        assert report.truncation_cells == 3224
+        assert calls and all(sigma is not None for sigma in calls)
 
 
 class TestEdgeModesCompanion:

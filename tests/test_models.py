@@ -13,7 +13,8 @@ from chiraledge.errors import (
     UnbalancedGradingWarning,
     ZeroMomentum,
 )
-from chiraledge.fixtures import defective, dimerized_plus, dimerized_trivial, ssh
+from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
+from chiraledge.halfspace import toeplitz_block
 from chiraledge.models import (
     ChiralModel,
     MatrixLoop,
@@ -26,6 +27,7 @@ from chiraledge.models import (
     model_to_dict,
     save_model,
 )
+from chiraledge.verify import EnsembleSpec, has_singular_leading_hop, random_chiral_ensemble
 
 HOP = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -188,6 +190,41 @@ class TestBloch:
         gamma = cm.gamma()
         h = cm.base.symbol()(0.6 + 0.1j)
         assert np.array_equal(gamma @ h @ gamma, -h)
+
+
+def _norm_bound_checks(cm: ChiralModel):
+    """norm_bound() of h_pm against two finite sections and a 2**15-point sampled sup.
+
+    Both are lower bounds on the true sup over the unit circle, and the bound
+    must also stay tight.
+    """
+    symbol = cm.symbol("pm")
+    bound = symbol.norm_bound()
+    for cells in (4 * cm.hop_range, 64):
+        assert bound >= np.linalg.norm(toeplitz_block(cm, cells), 2)
+    ks = 2.0 * np.pi * np.arange(2**15) / 2**15
+    sup = np.linalg.svd(symbol.eval_many(np.exp(1j * ks)), compute_uv=False)[:, 0].max()
+    assert sup <= bound <= 1.05 * sup
+
+
+class TestNormBound:
+    @pytest.mark.parametrize("dim_v,hop_range", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2)])
+    def test_random_symbols(self, dim_v, hop_range):
+        models = random_chiral_ensemble(EnsembleSpec(seed=7, count=6, dim_v=dim_v, hop_range=hop_range))
+        assert any(has_singular_leading_hop(cm) for cm in models)
+        for cm in models:
+            _norm_bound_checks(cm)
+
+    def test_fixtures(self):
+        for cm in (
+            dimerized_plus(),
+            dimerized_minus(),
+            dimerized_trivial(),
+            ssh(1.0, 2.0),
+            ssh(0.97, 1.0),
+            defective(0.5),
+        ):
+            _norm_bound_checks(cm)
 
 
 class TestModelFiles:
