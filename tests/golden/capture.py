@@ -11,16 +11,17 @@ root:
 
     PYTHONPATH=src python3 tests/golden/capture.py
 
-Each invocation then runs as its own `python -m chiraledge` process.  Capture
-and compare with the same BLAS build and thread count: some printed values are
-numerical zeros, such as a kernel singular value of 2e-15, and their digits
-change with OPENBLAS_NUM_THREADS.
+Each invocation then runs as its own `python -m chiraledge` process with
+BLAS and OpenMP pinned to one thread, as tests/conftest.py pins them for the
+comparison: some printed values are numerical zeros, such as a kernel singular
+value of 2e-15, and their digits change with OPENBLAS_NUM_THREADS.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import os
 import shutil
 import subprocess
 import sys
@@ -29,6 +30,7 @@ from pathlib import Path
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 INPUTS = GOLDEN_DIR / "inputs"
+ONE_THREAD = {var: "1" for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 # (name, argv).  "{inputs}" is the committed input directory; "{out}/FILE"
 # names an output file, stored in the golden directory as FILE.
@@ -89,6 +91,7 @@ def _run_subprocess(argv) -> dict:
         proc = subprocess.run(
             [sys.executable, "-m", "chiraledge", *_expand(argv, Path(tmp))],
             stdout=subprocess.PIPE,
+            env={**os.environ, **ONE_THREAD},
             check=False,
         )
         return _collect(argv, Path(tmp), proc.stdout, proc.returncode)
