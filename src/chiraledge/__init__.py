@@ -28,14 +28,7 @@ from .halfspace import (
     in_gap_scan,
     truncate_halfspace,
 )
-from .loops import (
-    HomotopyPath,
-    full_deformation,
-    linearize,
-    model_from_loop,
-    projectionize,
-    stabilize_and_factor,
-)
+from .loops import HomotopyPath, full_deformation, model_from_loop
 from .models import (
     ChiralModel,
     MatrixLoop,

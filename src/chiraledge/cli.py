@@ -10,6 +10,7 @@ with OPENBLAS_NUM_THREADS.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -40,7 +41,7 @@ from .models import (
     load_model,
     model_to_dict,
 )
-from .spectrum import band_structure, certified_gap, chiral_gap_margin, detect_gap, gap_report_dict
+from .spectrum import band_structure, certified_gap, chiral_gap_margin, detect_gap
 from .verify import (
     EnsembleSpec,
     case_to_dict,
@@ -221,10 +222,17 @@ def _parse_ensemble(text: str, default_seed: int) -> EnsembleSpec:
         key, _, value = token.partition("=")
         if key not in ("dim_v", "range", "count", "seed", "scale", "gap_floor"):
             raise ParseError(f"unknown ensemble field {key!r}")
-        fields[key] = float(value) if key in ("scale", "gap_floor") else int(value)
+        try:
+            fields[key] = float(value) if key in ("scale", "gap_floor") else int(value)
+        except ValueError as exc:
+            raise ParseError(f"ensemble field {key}={value!r} is not a number") from exc
     for req in ("dim_v", "range", "count"):
         if req not in fields:
             raise ParseError(f"ensemble spec needs {req}=...")
+    if fields["dim_v"] < 2 or fields["dim_v"] % 2:
+        raise ParseError(f"ensemble dim_v must be even and positive, got {fields['dim_v']}")
+    if fields["count"] < 0 or fields["range"] < 1:
+        raise ParseError("ensemble needs count >= 0 and range >= 1")
     return EnsembleSpec(
         seed=int(fields["seed"]),
         count=int(fields["count"]),
@@ -248,7 +256,7 @@ def _cmd_spectrum(args, tol) -> int:
     rows = [[k] + list(es) for k, es in zip(bands.ks, bands.energies)]
     _emit_csv(header, rows, meta, args.out)
     if args.out:
-        _emit_json({"meta": meta, "gap": gap_report_dict(gap)}, None)
+        _emit_json({"meta": meta, "gap": dataclasses.asdict(gap)}, None)
     return 0
 
 
@@ -257,17 +265,7 @@ def _cmd_winding(args, tol) -> int:
     cm = _require_chiral(model, grading, args, tol)
     result = full_winding(cm, initial_samples=args.samples, tol=tol)
     meta = _meta(raw, args.seed, tol, {"samples": args.samples})
-    _emit_json(
-        {
-            "meta": meta,
-            "winding": result.winding,
-            "method_phase": result.method_phase,
-            "method_roots": result.method_roots,
-            "samples_used": result.samples_used,
-            "min_abs_det": result.min_abs_det,
-        },
-        args.out,
-    )
+    _emit_json({"meta": meta, **dataclasses.asdict(result)}, args.out)
     if args.curve_out:
         ks = -np.pi + 2.0 * np.pi * np.arange(args.samples) / args.samples
         dets = cm.symbol("pm").det_fn()(np.exp(1j * ks))
@@ -360,6 +358,8 @@ def _cmd_modes(args, tol) -> int:
             f"--initial needs {n} real or {2 * n} interleaved re,im values, got {len(values)}"
         )
     steps = args.steps if args.steps is not None else 4 * model.hop_range + 4
+    if steps < 1:
+        raise ParseError(f"--steps must be at least 1, got {steps}")
     mode = propagate(comp, initial, steps=steps, first_cell=args.start, back_steps=args.back, tol=tol)
     meta = _meta(
         raw,
@@ -491,7 +491,10 @@ def _cmd_phase_diagram(args, tol) -> int:
                 raise ParseError(f"{which} needs {key!r}")
         if spec["name"] not in allowed:
             raise ParseError(f"family {doc['family']!r} has parameters {allowed}, not {spec['name']!r}")
-        return str(spec["name"]), float(spec["min"]), float(spec["max"])
+        try:
+            return str(spec["name"]), float(spec["min"]), float(spec["max"])
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"{which} min and max must be numbers") from exc
 
     name1, lo1, hi1 = axis(doc["param1"], "param1")
     name2, lo2, hi2 = axis(doc["param2"], "param2")
@@ -500,6 +503,8 @@ def _cmd_phase_diagram(args, tol) -> int:
         n1, n2 = int(n1_str), int(n2_str)
     except ValueError as exc:
         raise ParseError(f"--grid must be like 64x64, got {args.grid!r}") from exc
+    if n1 < 0 or n2 < 0:
+        raise ParseError(f"--grid sizes must not be negative, got {args.grid!r}")
 
     rows = []
     for v1 in np.linspace(lo1, hi1, n1):

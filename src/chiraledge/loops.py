@@ -2,9 +2,9 @@
 
 A balanced graded model is equivalent to its lower-left block symbol
 ChiralModel.symbol("pm"), a MatrixLoop (see models) invertible on the unit
-circle; model_from_loop goes back.  The pipeline deforms any such loop,
-through loops that stay invertible, to diag(lambda, ..., lambda^-1, ..., 1,
-...) in four moves:
+circle; model_from_loop goes back.  full_deformation, the single entry
+point, deforms any such loop, through loops that stay invertible, to
+diag(lambda, ..., lambda^-1, ..., 1, ...) in four moves:
 
   1. stabilize by trivial bands and rotate  h (+) 1  to  p (+) lambda^-R 1,
      where p = lambda^R h is polynomial; split each lambda^-R into R copies
@@ -59,20 +59,6 @@ def diagonal_monomials(powers) -> MatrixLoop:
     return MatrixLoop(lo, coeffs)
 
 
-def block_diag_loops(loops) -> MatrixLoop:
-    lo = min(l.lowest_power for l in loops)
-    hi = max(l.highest_power for l in loops)
-    n = sum(l.size for l in loops)
-    coeffs = np.zeros((hi - lo + 1, n, n), dtype=complex)
-    offset = 0
-    for l in loops:
-        s = l.size
-        for j, c in enumerate(l.coeffs):
-            coeffs[l.lowest_power + j - lo, offset : offset + s, offset : offset + s] = c
-        offset += s
-    return MatrixLoop(lo, coeffs)
-
-
 def model_from_loop(loop: MatrixLoop, tol: Tolerances = DEFAULT_TOL) -> ChiralModel:
     """Balanced graded model whose lower-left block symbol is the given loop."""
     m = loop.size
@@ -117,7 +103,7 @@ class HomotopyPath:
             ],
             "winding": self.winding_per_stage[0] if self.winding_per_stage else None,
             "endpoint_size": self.endpoint.size,
-            "notes": {k: v for k, v in self.notes.items() if isinstance(v, (int, float, str, list, tuple))},
+            "notes": dict(self.notes),
         }
 
 
@@ -314,20 +300,17 @@ def certify_path(
 
 
 def _poly_planes(loop: MatrixLoop, hop_range: int) -> np.ndarray:
-    """Coefficient planes of p = lambda^hop_range * loop, padded down to power 0."""
+    """Coefficient planes of p = lambda^hop_range * loop, padded down to power 0.
+
+    The loop is trimmed and hop_range is at least its natural range, so the
+    shift is never negative and the top plane is nonzero: the pencil size
+    stays minimal.
+    """
     shift = loop.lowest_power + hop_range
-    if shift < 0:
-        raise ValueError("loop has poles of higher order than the stated range")
     m = loop.size
     planes = np.zeros((shift + loop.coeffs.shape[0], m, m), dtype=complex)
     planes[shift:] = loop.coeffs
-    # Trim numerically-zero leading planes so the pencil size stays minimal.
-    mags = np.array([np.abs(c).max() for c in planes])
-    floor = 1e-12 * max(float(mags.max()), 1e-300)
-    top = len(planes)
-    while top > 1 and mags[top - 1] <= floor:
-        top -= 1
-    return planes[:top]
+    return planes
 
 
 def _factor_stages(builder: _Builder, loop: MatrixLoop, hop_range: int) -> MatrixLoop:
@@ -568,84 +551,6 @@ def _sort_stages(builder: _Builder):
         best = min(coords[pos:], key=lambda cc: (_SORT_RANK[builder.tail[cc]], cc))
         if best != c and builder.tail[best] != builder.tail[c]:
             builder.swap_channels(c, best)
-        elif best != c and builder.tail[best] == builder.tail[c]:
-            continue
-
-
-# --- public operations ------------------------------------------------------
-
-
-def stabilize_and_factor(loop: MatrixLoop, hop_range: int | None = None, tol: Tolerances = DEFAULT_TOL) -> HomotopyPath:
-    """Rotate h (+) 1 to p (+) lambda^-R and split the monomial block into lambda^-1 factors."""
-    if hop_range is None:
-        hop_range = loop.natural_range
-    builder = _Builder(loop.eval_many, loop.size)
-    p_loop = _factor_stages(builder, loop, hop_range)
-    certificates, windings = certify_path(builder.stages, tol)
-    endpoint = block_diag_loops(
-        [p_loop] + [monomial_loop(p, 1) for c, p in sorted(builder.tail.items())]
-    )
-    return HomotopyPath(
-        stages=builder.stages,
-        certificates=certificates,
-        winding_per_stage=windings,
-        endpoint=endpoint,
-        notes={"poly": p_loop, "poly_degree": p_loop.coeffs.shape[0] - 1, "hop_range": hop_range},
-    )
-
-
-def linearize(poly_loop: MatrixLoop, tol: Tolerances = DEFAULT_TOL) -> MatrixLoop:
-    """Companion-style linear pencil equivalent to a polynomial loop.
-
-    Degree <= 1 loops pass through unchanged.  The result is checked to be
-    invertible on the unit circle with the same determinant winding.
-    """
-    if poly_loop.lowest_power != 0:
-        raise ValueError("linearize expects a polynomial loop (lowest power 0)")
-    planes = poly_loop.coeffs
-    if planes.shape[0] <= 2:
-        ell = poly_loop
-    else:
-        c_mat, d_mat = companion_pencil(planes)
-        ell = MatrixLoop(0, np.stack([d_mat, c_mat]))
-    w_in, *_ = winding_of_curve(poly_loop.det_fn(), initial_samples=128)
-    w_out, *_ = winding_of_curve(ell.det_fn(), initial_samples=128)
-    if w_in != w_out:
-        raise CertificateFailed(f"linearization changed the winding: {w_in} -> {w_out}")
-    return ell
-
-
-def projectionize(linear_loop: MatrixLoop, tol: Tolerances = DEFAULT_TOL):
-    """Reduce an invertible linear loop to a projection loop lambda Q + (1 - Q).
-
-    Returns (path, rank Q); the rank equals the winding of det l.
-    """
-    if linear_loop.lowest_power < 0 or linear_loop.highest_power > 1:
-        raise ValueError("projectionize expects a linear loop lambda C + D")
-    size = linear_loop.size
-    c_mat = np.zeros((size, size), dtype=complex)
-    d_mat = np.zeros((size, size), dtype=complex)
-    for j, plane in enumerate(linear_loop.coeffs):
-        if linear_loop.lowest_power + j == 0:
-            d_mat = plane.astype(complex)
-        else:
-            c_mat = plane.astype(complex)
-    builder = _Builder(
-        lambda lams: lams[:, None, None] * c_mat + d_mat[None, :, :], linear_loop.size
-    )
-    rank = _projectionize_stages(builder, c_mat, d_mat, tol)
-    certificates, windings = certify_path(builder.stages, tol)
-    endpoint = diagonal_monomials([1] * rank + [0] * (linear_loop.size - rank))
-    return (
-        HomotopyPath(
-            stages=builder.stages,
-            certificates=certificates,
-            winding_per_stage=windings,
-            endpoint=endpoint,
-            notes={"projection_rank": rank},
-        ),
-        rank,
-    )
 
 
 def _spectral_projection(matrix: np.ndarray, tol: Tolerances):
@@ -674,6 +579,9 @@ def _spectral_projection(matrix: np.ndarray, tol: Tolerances):
     p_t[:sdim, :sdim] = np.eye(sdim)
     p_t[:sdim, sdim:] = y
     return z @ p_t @ z.conj().T, sdim
+
+
+# --- entry point -------------------------------------------------------------
 
 
 def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> HomotopyPath:

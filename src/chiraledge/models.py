@@ -16,7 +16,6 @@ representation of Laurent coefficients that every other module reads.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -122,11 +121,7 @@ class ModelParams:
     right_hops: np.ndarray  # (R, d, d), range-r right hop A_r at index r-1
     left_hops: np.ndarray   # (R, d, d), range-r left hop B_r at index r-1
     self_adjoint: bool
-
-    @property
-    def norm_scale(self) -> float:
-        """Largest operator norm among the coefficient matrices, floored at 1."""
-        return max(1.0, *(np.linalg.norm(c, 2) for c in self.symbol().coeffs))
+    norm_scale: float       # largest operator norm among the coefficient matrices, floored at 1
 
     def symbol(self) -> MatrixLoop:
         """H(lambda) as a loop with powers -R..R."""
@@ -167,12 +162,12 @@ def build_model(dim_v, hop_range, on_site, right_hops, left_hops=None, tol: Tole
                 f"left_hops has shape {left.shape}, expected {(hop_range, dim_v, dim_v)}"
             )
 
-    model = ModelParams(dim_v, hop_range, _freeze(on_site), _freeze(right), _freeze(left), False)
-    thresh = tol.structural * model.norm_scale
+    norm_scale = max(1.0, *(np.linalg.norm(c, 2) for c in (on_site, *right, *left)))
+    thresh = tol.structural * norm_scale
     sa = np.linalg.norm(on_site - on_site.conj().T, 2) <= thresh and all(
         np.linalg.norm(left[r] - right[r].conj().T, 2) <= thresh for r in range(hop_range)
     )
-    return dataclasses.replace(model, self_adjoint=bool(sa))
+    return ModelParams(dim_v, hop_range, _freeze(on_site), _freeze(right), _freeze(left), bool(sa), norm_scale)
 
 
 @dataclass(frozen=True, eq=False)

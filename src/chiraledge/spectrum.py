@@ -113,13 +113,3 @@ def chiral_gap_margin(cm: ChiralModel, num_k: int = NUM_K_DEFAULT) -> float:
     blocks = cm.symbol("pm").eval_many(np.exp(1j * ks))
     sv = np.linalg.svd(blocks, compute_uv=False)
     return float(sv[:, -1].min())
-
-
-def gap_report_dict(report: GapReport) -> dict:
-    return {
-        "gapped": report.gapped,
-        "gap_index": report.gap_index,
-        "e_minus": report.e_minus,
-        "e_plus": report.e_plus,
-        "certificate_margin": report.certificate_margin,
-    }

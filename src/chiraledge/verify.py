@@ -8,7 +8,7 @@ skipped with a reason.  Every verdict carries the numbers it was decided on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -22,7 +22,7 @@ from .halfspace import (
     in_gap_scan,
 )
 from .models import ChiralModel, build_model, chiral_split
-from .spectrum import GapReport, certified_gap, chiral_gap_margin, gap_report_dict
+from .spectrum import GapReport, certified_gap, chiral_gap_margin
 from .winding import WindingResult, full_winding
 
 
@@ -53,15 +53,9 @@ def case_to_dict(case: VerificationCase) -> dict:
         },
     }
     if case.gap is not None:
-        out["gap"] = gap_report_dict(case.gap)
+        out["gap"] = asdict(case.gap)
     if case.winding is not None:
-        out["winding"] = {
-            "winding": case.winding.winding,
-            "method_phase": case.winding.method_phase,
-            "method_roots": case.winding.method_roots,
-            "samples_used": case.winding.samples_used,
-            "min_abs_det": case.winding.min_abs_det,
-        }
+        out["winding"] = asdict(case.winding)
     if case.edge is not None:
         out["edge"] = {
             "dim_ker_pm": case.edge.dim_ker_pm,

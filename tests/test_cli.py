@@ -176,6 +176,30 @@ class TestErrorsAndDeterminism:
         code, _, _ = run(capsys, "winding")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--ensemble", "dim_v=x,range=1,count=2"],
+            ["verify", "--ensemble", "dim_v"],
+            ["verify", "--ensemble", "dim_v=3,range=1,count=2"],
+            ["verify", "--ensemble", "dim_v=2,range=0,count=2"],
+            ["phase-diagram", "{bad_family}", "--grid", "2x2"],
+            ["phase-diagram", "{family}", "--grid=-1x2"],
+            ["modes", "--fixture", "defective:theta=0", "--initial", "0,0,1,0", "--steps", "0"],
+        ],
+        ids=["ensemble-not-a-number", "ensemble-no-value", "ensemble-odd-dim", "ensemble-range-0",
+             "family-min-not-a-number", "grid-negative", "modes-steps-0"],
+    )
+    def test_malformed_input_exits_2(self, capsys, family_file, tmp_path, argv):
+        bad_family = tmp_path / "bad_fam.json"
+        doc = json.loads(family_file.read_text())
+        doc["param1"]["min"] = "a"
+        bad_family.write_text(json.dumps(doc))
+        argv = [a.format(family=family_file, bad_family=bad_family) for a in argv]
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "ParseError"
+
     def test_byte_identical_reruns(self, capsys, ssh_file, tmp_path):
         pairs = []
         for name, argv in {

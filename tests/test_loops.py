@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+from chiraledge.config import DEFAULT_TOL
 from chiraledge.errors import SpectrumOnCriticalLine
 from chiraledge.fixtures import defective, dimerized_plus, dimerized_trivial, ssh
 from chiraledge.loops import (
+    _Builder,
+    _factor_stages,
+    _projectionize_stages,
+    certify_path,
+    companion_pencil,
     full_deformation,
-    linearize,
     model_from_loop,
     monomial_loop,
-    projectionize,
-    stabilize_and_factor,
 )
 from chiraledge.models import MatrixLoop
 from chiraledge.verify import EnsembleSpec, random_chiral_ensemble
@@ -45,48 +48,78 @@ class TestLoopModelRoundTrip:
             assert loop_values_close(back.symbol("pm"), cm.symbol("pm"))
 
 
+def factored(loop: MatrixLoop):
+    """Move 1 alone on a trimmed loop: the builder with its stages, and p = lambda^R h."""
+    loop = loop.trimmed()
+    builder = _Builder(loop.eval_many, loop.size)
+    return builder, _factor_stages(builder, loop, loop.natural_range)
+
+
+def pencil(planes: np.ndarray) -> MatrixLoop:
+    """The companion pencil lambda C + D of a polynomial loop, as a loop."""
+    c_mat, d_mat = companion_pencil(planes)
+    return MatrixLoop(0, np.stack([d_mat, c_mat]))
+
+
+def projected(c_mat, d_mat):
+    """Move 3 alone on the pencil lambda C + D: (rank Q, windings of the certified stages)."""
+    c_mat, d_mat = np.atleast_2d(c_mat).astype(complex), np.atleast_2d(d_mat).astype(complex)
+    builder = _Builder(lambda lams: lams[:, None, None] * c_mat + d_mat[None, :, :], c_mat.shape[0])
+    rank = _projectionize_stages(builder, c_mat, d_mat, DEFAULT_TOL)
+    _, windings = certify_path(builder.stages)
+    return rank, windings
+
+
 class TestStabilizeAndFactor:
+    """Move 1: _factor_stages rotates h (+) 1 to p (+) lambda^-R."""
+
     def test_scalar_inverse_monomial(self):
-        path = stabilize_and_factor(monomial_loop(-1))
-        poly = path.notes["poly"]
-        assert path.notes["poly_degree"] == 0
+        builder, poly = factored(monomial_loop(-1))
+        assert poly.coeffs.shape[0] == 1  # degree 0
         assert np.allclose(poly.coeffs[0], 1.0)
-        assert path.winding_per_stage == [-1, -1]
-        assert all(c > 0 for c in path.certificates)
+        certificates, windings = certify_path(builder.stages)
+        assert windings == [-1, -1]
+        assert all(c > 0 for c in certificates)
 
     def test_dimerized_factoring(self):
-        path = stabilize_and_factor(dimerized_plus().symbol("pm").trimmed(), hop_range=1)
-        poly = path.notes["poly"]
+        builder, poly = factored(dimerized_plus().symbol("pm"))
         # p = lambda^2, endpoint p (+) lambda^-1.
         w, *_ = winding_of_curve(poly.det_fn())
         assert w == 2
-        assert set(path.winding_per_stage) == {1}
+        _, windings = certify_path(builder.stages)
+        assert set(windings) == {1}
 
     def test_defective_poly_winding(self):
-        path = stabilize_and_factor(defective(0.0).symbol("pm"))
-        poly = path.notes["poly"]
+        builder, poly = factored(defective(0.0).symbol("pm"))
         # Frozen oracle: p = 1/4 + lambda + lambda^2 has both roots inside
         # the unit circle, so its winding is W + R q = 2.
         assert np.allclose(np.sort_complex(np.roots([1, 1, 0.25])), [-0.5, -0.5])
         w, *_ = winding_of_curve(poly.det_fn())
         assert w == 2
-        assert set(path.winding_per_stage) == {1}
+        _, windings = certify_path(builder.stages)
+        assert set(windings) == {1}
 
 
 class TestLinearize:
+    """Move 2: companion_pencil, the pencil _linearize_stages deforms p into."""
+
     def test_scalar_square(self):
-        ell = linearize(MatrixLoop(0, np.array([[[0.0]], [[0.0]], [[1.0]]], dtype=complex)))
+        ell = pencil(np.array([[[0.0]], [[0.0]], [[1.0]]], dtype=complex))
         assert ell.size == 2
         w, *_ = winding_of_curve(ell.det_fn())
         assert w == 2
 
     def test_constant_passthrough(self):
-        p = MatrixLoop(0, np.array([[[2.0]]], dtype=complex))
-        assert linearize(p) is p
+        # A degree <= 1 polynomial is its own pencil: C = P_1 (or 0), D = P_0.
+        c_mat, d_mat = companion_pencil(np.array([[[2.0]]], dtype=complex))
+        assert np.array_equal(c_mat, [[0.0]]) and np.array_equal(d_mat, [[2.0]])
+        planes = np.array([[[1.0, 2.0], [0.0, 3.0]], [[4.0, 0.0], [5.0, 6.0]]], dtype=complex)
+        c_mat, d_mat = companion_pencil(planes)
+        assert np.array_equal(c_mat, planes[1]) and np.array_equal(d_mat, planes[0])
 
     def test_defective_poly(self):
-        path = stabilize_and_factor(defective(0.0).symbol("pm"))
-        ell = linearize(path.notes["poly"])
+        _, poly = factored(defective(0.0).symbol("pm"))
+        ell = pencil(poly.coeffs)
         assert ell.size == 2
         w, *_ = winding_of_curve(ell.det_fn())
         assert w == 2
@@ -98,35 +131,33 @@ class TestLinearize:
         lams = np.exp(1j * np.linspace(0, 2 * np.pi, 7, endpoint=False))
         if np.min(np.abs(np.linalg.det(p.eval_many(lams)))) < 1e-3:
             return
-        ell = linearize(p)
+        ell = pencil(planes)
         det_p = np.linalg.det(p.eval_many(lams))
         det_l = np.linalg.det(ell.eval_many(lams))
         assert np.allclose(det_p, det_l, rtol=1e-8, atol=1e-10)
 
 
 class TestProjectionize:
+    """Move 3: _projectionize_stages takes lambda C + D to lambda Q + (1 - Q)."""
+
     def test_identity_winding_one(self):
-        path, rank = projectionize(monomial_loop(1))
+        rank, windings = projected(1.0, 0.0)
         assert rank == 1
-        assert set(path.winding_per_stage) == {1}
+        assert set(windings) == {1}
 
     def test_constant_rank_zero(self):
-        path, rank = projectionize(monomial_loop(0))
+        rank, windings = projected(0.0, 1.0)
         assert rank == 0
-        assert set(path.winding_per_stage) == {0}
+        assert set(windings) == {0}
 
     def test_linearized_defective_rank_two(self):
-        path = stabilize_and_factor(defective(0.0).symbol("pm"))
-        ell = linearize(path.notes["poly"])
-        _, rank = projectionize(ell)
-        assert rank == 2
+        assert full_deformation(defective(0.0)).notes["projection_rank"] == 2
 
     def test_critical_line_detected(self):
         # l(lambda) = (lambda + 1)/2 vanishes at lambda = -1, and its scaled
         # coefficient has an eigenvalue exactly on Re = 1/2.
-        bad = MatrixLoop(0, np.array([[[0.5]], [[0.5]]], dtype=complex))
         with pytest.raises(SpectrumOnCriticalLine):
-            projectionize(bad)
+            projected(0.5, 0.5)
 
 
 class TestFullDeformation:
