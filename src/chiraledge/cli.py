@@ -44,10 +44,10 @@ from .models import (
 from .spectrum import band_structure, certified_gap, chiral_gap_margin, detect_gap
 from .verify import (
     EnsembleSpec,
+    _two_band_case,
     case_to_dict,
     random_chiral_ensemble,
     verify_bec,
-    verify_two_band_strong,
 )
 from .winding import full_winding
 
@@ -248,6 +248,8 @@ def _parse_ensemble(text: str, default_seed: int) -> EnsembleSpec:
 
 def _cmd_spectrum(args, tol) -> int:
     model, grading, raw = _resolve_model(args, tol)
+    if args.samples < 8:
+        raise ParseError(f"--samples must be at least 8, got {args.samples}")
     bands = band_structure(model, args.samples)
     around = 0.0 if grading is not None else None
     gap = detect_gap(bands, around)
@@ -415,10 +417,13 @@ def _cmd_deform(args, tol) -> int:
 
 
 def _verify_one(cm: ChiralModel, cells, tol) -> dict:
-    entry = {"bec": case_to_dict(verify_bec(cm, cells=cells, tol=tol))}
+    bec = verify_bec(cm, cells=cells, tol=tol)
+    entry = {"bec": case_to_dict(bec)}
     ok = entry["bec"]["passed"]
     if cm.dim_v == 2:
-        entry["two_band"] = case_to_dict(verify_two_band_strong(cm, cells=cells, tol=tol))
+        # The strong form reads the gap, winding and edge count verify_bec computed.
+        two_band = _two_band_case(cm, bec.gap, bec.winding, bec.edge)
+        entry["two_band"] = case_to_dict(two_band)
         ok = ok and entry["two_band"]["passed"]
     entry["passed"] = ok
     return entry

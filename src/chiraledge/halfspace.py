@@ -241,6 +241,17 @@ def decay_scale_estimate(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> floa
     return float(inside.max())
 
 
+def _decay_min_cells(q: float, hop_range: int, tol: Tolerances) -> int:
+    """Fewest cells over which an edge mode decaying as q^n falls below tol.kernel.
+
+    Adds 8 R cells of margin for the boundary; a decay rate q <= 1e-12 needs
+    the margin alone.
+    """
+    if q <= 1e-12:
+        return 8 * hop_range
+    return math.ceil(math.log(tol.kernel) / math.log(q)) + 8 * hop_range
+
+
 def _cells_target(cm: ChiralModel, tol: Tolerances):
     """Uncapped truncation size pushing the slowest edge decay below the kernel threshold."""
     q = decay_scale_estimate(cm, tol)
@@ -248,8 +259,7 @@ def _cells_target(cm: ChiralModel, tol: Tolerances):
         return None, None
     if q <= 1e-12:
         return CELLS_MIN_DEFAULT, q
-    n = max(CELLS_MIN_DEFAULT, math.ceil(math.log(tol.kernel) / math.log(q)) + 8 * cm.hop_range)
-    return n, q
+    return max(CELLS_MIN_DEFAULT, _decay_min_cells(q, cm.hop_range, tol)), q
 
 
 def edge_modes_truncated(
@@ -264,7 +274,11 @@ def edge_modes_truncated(
     Works for singular A_R.  With cells=None the truncation size is chosen from
     the decay estimate (or grown until stable when none is available) and
     ambiguous singular values trigger automatic refinement; with an explicit
-    cells they raise AmbiguousKernel instead.
+    cells they raise AmbiguousKernel instead.  An explicit cells shorter than
+    the decay minimum (_decay_min_cells of the decay estimate) also raises
+    AmbiguousKernel, since the section would leave a kernel singular value
+    above the threshold and undercount; when no decay estimate is available
+    an explicit cells is used as given.
     """
     if not cm.balanced:
         raise UnbalancedGrading("edge index needs balanced graded components")
@@ -291,6 +305,14 @@ def edge_modes_truncated(
             cells = target
     else:
         need_stability = False
+        q_est = decay_scale_estimate(cm, tol)
+        minimum = None if q_est is None else _decay_min_cells(q_est, cm.hop_range, tol)
+        if minimum is not None and cells < minimum:
+            # Refusing beats a silent undercount, as for the cap above.
+            raise AmbiguousKernel(
+                f"{cells} cells are too few for decay rate {q_est:.6f}; "
+                f"the kernel threshold needs at least {minimum}"
+            )
     cells = max(cells, 4 * cm.hop_range)
 
     while True:

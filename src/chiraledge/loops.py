@@ -19,7 +19,12 @@ diag(lambda, ..., lambda^-1, ..., 1, ...) in four moves:
 
 Every stage records an invertibility certificate (sampled min singular value
 on its parameter-by-momentum grid) and the winding of its determinant, which
-must be one constant along the whole path.
+must be one constant along the whole path.  certify_path evaluates each stage
+once per (t, momentum grid) point and hands the determinants of the
+certificate grid to the winding check, whose 128 initial samples are that
+grid; only bisection midpoints and refined grids are evaluated again.  A
+stage that starts from the end state of earlier ones (the linearization
+chain) computes that state once per momentum grid, not once per t.
 """
 
 from __future__ import annotations
@@ -261,15 +266,21 @@ def certify_path(
     windings = []
     for stage in stages:
         constant = stage.t_start == stage.t_end
+        winding_ts = [stage.t_start] if constant else np.linspace(stage.t_start, stage.t_end, 5)
+        wanted = {float(t) for t in winding_ts}
+        shared = {}  # t -> (grid, det) from the first certificate grid holding t
         nt, nk = grid_t, grid_k
         while True:
             ts = [stage.t_start] if constant else np.linspace(stage.t_start, stage.t_end, nt)
             lams = np.exp(2j * np.pi * np.arange(nk) / nk)
             mn, mx = np.inf, 0.0
-            for t in ts:
-                sv = np.linalg.svd(stage.evaluate(float(t), lams), compute_uv=False)
+            for t in map(float, ts):
+                values = stage.evaluate(t, lams)
+                sv = np.linalg.svd(values, compute_uv=False)
                 mn = min(mn, float(sv[:, -1].min()))
                 mx = max(mx, float(sv[:, 0].max()))
+                if t in wanted and t not in shared:
+                    shared[t] = (lams, np.linalg.det(values))
             if mn > 1e-9 * mx:
                 break
             if nt >= grid_cap and nk >= grid_cap:
@@ -280,11 +291,18 @@ def certify_path(
         certificates.append(mn)
 
         ws = set()
-        for t in [stage.t_start] if constant else np.linspace(stage.t_start, stage.t_end, 5):
-            w, *_ = winding_of_curve(
-                lambda lams, t=float(t): np.linalg.det(stage.evaluate(t, lams)),
-                initial_samples=128,
-            )
+        for t in map(float, winding_ts):
+            grid, dets = shared.get(t, (None, None))
+
+            def det_curve(lams, t=t, grid=grid, dets=dets):
+                # The certificate grid equals the winding's 128 initial samples
+                # bit for bit, so those determinants are reused; bisection
+                # midpoints are evaluated afresh.
+                if grid is not None and lams.shape == grid.shape and np.array_equal(lams, grid):
+                    return dets
+                return np.linalg.det(stage.evaluate(t, lams))
+
+            w, *_ = winding_of_curve(det_curve, initial_samples=128)
             ws.add(w)
         if len(ws) != 1:
             raise CertificateFailed(
@@ -386,6 +404,26 @@ def _horner_partials(planes: np.ndarray):
     return h_k
 
 
+def _per_grid(fn):
+    """fn(lams), computed once per momentum grid and shared read-only.
+
+    The end state of a stage does not depend on the next stage's parameter,
+    so chaining stages through _per_grid evaluates each earlier stage once
+    per grid instead of once per (t, grid).  One entry, keyed on the grid.
+    """
+    last = {}
+
+    def cached(lams):
+        key = lams.tobytes()
+        if last.get("key") != key:
+            value = fn(lams)
+            value.flags.writeable = False
+            last.update(key=key, value=value)
+        return last["value"]
+
+    return cached
+
+
 def _linearize_stages(builder: _Builder, planes: np.ndarray):
     """Stage 2: from diag(p, 1, ..., 1) to the companion pencil, determinant fixed."""
     d = planes.shape[0] - 1
@@ -405,7 +443,7 @@ def _linearize_stages(builder: _Builder, planes: np.ndarray):
         out[:, np.arange(m, s), np.arange(m, s)] = 1.0
         return out
 
-    current = start_eval
+    current = _per_grid(start_eval)
 
     def conj_rot_stage(prev, blk_a, blk_b):
         ia = np.arange(blk_a * m, (blk_a + 1) * m)
@@ -420,7 +458,7 @@ def _linearize_stages(builder: _Builder, planes: np.ndarray):
     # Move p from block 0 to block d-1 by one conjugation.
     ev = conj_rot_stage(current, 0, d - 1)
     builder.add_stage("linearize: move p to the last block slot", 0.0, 0.5 * np.pi, sub_idx, ev)
-    current = lambda lams, ev=ev: ev(0.5 * np.pi, lams)
+    current = _per_grid(lambda lams, ev=ev: ev(0.5 * np.pi, lams))
 
     # Build the signed cyclic shift as d-1 left rotations.
     for blk in range(d - 1, 0, -1):
@@ -437,21 +475,20 @@ def _linearize_stages(builder: _Builder, planes: np.ndarray):
             sub_idx,
             ev,
         )
-        current = lambda lams, ev=ev: ev(0.5 * np.pi, lams)
+        current = _per_grid(lambda lams, ev=ev: ev(0.5 * np.pi, lams))
 
     # Row operations reinstate the Horner partials on block row 0.
     h_k = _horner_partials(planes)
 
     def row_ops(t, lams, prev=current):
-        out = prev(lams).copy()
         k = len(lams)
         left = np.broadcast_to(np.eye(s), (k, s, s)).astype(complex).copy()
         for kk in range(1, d):
             left[:, :m, kk * m : (kk + 1) * m] = -t * h_k(kk, lams)
-        return left @ out
+        return left @ prev(lams)
 
     builder.add_stage("linearize: unipotent row operations", 0.0, 1.0, sub_idx, row_ops)
-    current = lambda lams, ev=row_ops: ev(1.0, lams)
+    current = _per_grid(lambda lams, ev=row_ops: ev(1.0, lams))
 
     # Column operations, highest block first, complete the pencil.
     for kk in range(d - 1, 0, -1):
@@ -471,7 +508,7 @@ def _linearize_stages(builder: _Builder, planes: np.ndarray):
             sub_idx,
             col_op,
         )
-        current = lambda lams, ev=col_op: ev(1.0, lams)
+        current = _per_grid(lambda lams, ev=col_op: ev(1.0, lams))
 
     builder.active_idx = sub_idx
     for c in fresh:
@@ -590,7 +627,10 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
     R here is the natural hopping range of the block symbol (zero hop planes do
     not count), and W its winding.  The endpoint's edge index, computed by the
     truncated half-space route on the reconstructed model, is recorded in the
-    notes and must equal W.
+    notes and must equal W.  That section is sized at the endpoint's decay
+    minimum (halfspace._decay_min_cells of its decay estimate, 8-12 cells for
+    small symbols) rather than the 64-cell floor of the automatic size, and
+    falls back to the automatic size when no decay estimate is available.
     """
     if not cm.balanced:
         raise UnbalancedGrading("deformation needs a balanced graded model")
@@ -608,9 +648,12 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
     endpoint = diagonal_monomials(powers)
     counts = (powers.count(1), powers.count(-1), powers.count(0))
 
-    from .halfspace import edge_modes_truncated
+    from .halfspace import _decay_min_cells, decay_scale_estimate, edge_modes_truncated
 
-    endpoint_edge = edge_modes_truncated(model_from_loop(endpoint, tol), tol=tol)
+    endpoint_cm = model_from_loop(endpoint, tol)
+    q = decay_scale_estimate(endpoint_cm, tol)
+    cells = None if q is None else _decay_min_cells(q, endpoint_cm.hop_range, tol)
+    endpoint_edge = edge_modes_truncated(endpoint_cm, cells=cells, tol=tol)
     return HomotopyPath(
         stages=builder.stages,
         certificates=certificates,

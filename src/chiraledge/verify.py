@@ -143,6 +143,11 @@ def verify_two_band_strong(cm: ChiralModel, cells: int | None = None, tol: Toler
     gap = certified_gap(cm.base, around_energy=0.0)
     winding = full_winding(cm, tol=tol)
     edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gap)
+    return _two_band_case(cm, gap, winding, edge)
+
+
+def _two_band_case(cm: ChiralModel, gap: GapReport, winding: WindingResult, edge: EdgeReport) -> VerificationCase:
+    """The two-band strong-form verdicts on an already computed gap, winding and edge count."""
     w = winding.winding
     verdicts = {
         "winding_range": Verdict(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chiraledge import verify
 from chiraledge.cli import main
 from chiraledge.fixtures import ssh
 from chiraledge.models import save_model
@@ -56,6 +57,23 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert doc["count"] == 3 and doc["passed"] is True
 
+    def test_one_edge_count_per_two_band_model(self, capsys, monkeypatch):
+        # The two-band strong form reads verify_bec's gap, winding and edge
+        # count instead of computing them a second time.
+        calls = []
+        real = verify.edge_modes_truncated
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "edge_modes_truncated", counted)
+        code, out, _ = run(capsys, "verify", "--ensemble", "dim_v=2,range=1,count=3,seed=5")
+        assert code == 0
+        doc = json.loads(out)
+        assert all("two_band" in case for case in doc["cases"])
+        assert len(calls) == doc["count"] == 3
+
 
 class TestWindingCommand:
     def test_trivial_winding_zero(self, capsys):
@@ -94,6 +112,16 @@ class TestEdgeCommand:
         assert (doc["dim_ker_pm"], doc["dim_ker_mp"]) == (1, 0)
         assert doc["method"] == "both"
         assert doc["routes_agree"] is True
+
+    @pytest.mark.parametrize("cells", [0, 4, 8, 16])
+    def test_explicit_cells_below_decay_minimum_refused(self, capsys, cells):
+        # ssh(1, 2) decays as 2^-n, so the kernel threshold needs 32 cells;
+        # a shorter section would report edge_index 0 for winding 1.
+        code, out, err = run(
+            capsys, "edge", "--fixture", "ssh:t1=1,t2=2", "--method", "truncated", "--cells", str(cells)
+        )
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "AmbiguousKernel"
 
 
 class TestScanCommand:
@@ -186,9 +214,10 @@ class TestErrorsAndDeterminism:
             ["phase-diagram", "{bad_family}", "--grid", "2x2"],
             ["phase-diagram", "{family}", "--grid=-1x2"],
             ["modes", "--fixture", "defective:theta=0", "--initial", "0,0,1,0", "--steps", "0"],
+            ["spectrum", "--fixture", "ssh:t1=1,t2=2", "--samples", "4"],
         ],
         ids=["ensemble-not-a-number", "ensemble-no-value", "ensemble-odd-dim", "ensemble-range-0",
-             "family-min-not-a-number", "grid-negative", "modes-steps-0"],
+             "family-min-not-a-number", "grid-negative", "modes-steps-0", "spectrum-samples-4"],
     )
     def test_malformed_input_exits_2(self, capsys, family_file, tmp_path, argv):
         bad_family = tmp_path / "bad_fam.json"

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
-from chiraledge.config import DEFAULT_TOL
-from chiraledge.errors import SpectrumOnCriticalLine
-from chiraledge.fixtures import defective, dimerized_plus, dimerized_trivial, ssh
+from chiraledge.config import CERT_GRID_CAP, CERT_GRID_K, CERT_GRID_T, DEFAULT_TOL
+from chiraledge.errors import CertificateFailed, SpectrumOnCriticalLine
+from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
+from chiraledge.halfspace import _decay_min_cells, decay_scale_estimate, edge_modes_truncated
 from chiraledge.loops import (
+    Stage,
     _Builder,
     _factor_stages,
     _projectionize_stages,
     certify_path,
     companion_pencil,
+    diagonal_monomials,
     full_deformation,
     model_from_loop,
     monomial_loop,
@@ -228,3 +231,137 @@ class TestFullDeformation:
         assert np.allclose(end, np.diag(np.diag(end)))
         diag = np.diag(end)
         assert np.allclose(diag, [lam, lam, 1 / lam])
+
+
+def reference_certify_path(stages, tol=DEFAULT_TOL, grid_t=CERT_GRID_T, grid_k=CERT_GRID_K, grid_cap=CERT_GRID_CAP):
+    """certify_path as it was before it shared evaluations: every winding
+    check evaluates its stage again on the winding's own initial samples."""
+    certificates = []
+    windings = []
+    for stage in stages:
+        constant = stage.t_start == stage.t_end
+        nt, nk = grid_t, grid_k
+        while True:
+            ts = [stage.t_start] if constant else np.linspace(stage.t_start, stage.t_end, nt)
+            lams = np.exp(2j * np.pi * np.arange(nk) / nk)
+            mn, mx = np.inf, 0.0
+            for t in ts:
+                sv = np.linalg.svd(stage.evaluate(float(t), lams), compute_uv=False)
+                mn = min(mn, float(sv[:, -1].min()))
+                mx = max(mx, float(sv[:, 0].max()))
+            if mn > 1e-9 * mx:
+                break
+            if nt >= grid_cap and nk >= grid_cap:
+                raise CertificateFailed(
+                    f"stage '{stage.description}': min singular value {mn:.3e} on refined grid"
+                )
+            nt, nk = min(2 * nt, grid_cap), min(2 * nk, grid_cap)
+        certificates.append(mn)
+
+        ws = set()
+        for t in [stage.t_start] if constant else np.linspace(stage.t_start, stage.t_end, 5):
+            w, *_ = winding_of_curve(
+                lambda lams, t=float(t): np.linalg.det(stage.evaluate(t, lams)),
+                initial_samples=128,
+            )
+            ws.add(w)
+        if len(ws) != 1:
+            raise CertificateFailed(
+                f"winding changed within stage '{stage.description}': {sorted(ws)}"
+            )
+        windings.append(ws.pop())
+    if len(set(windings)) > 1:
+        raise CertificateFailed(f"winding not conserved across stages: {windings}")
+    return certificates, windings
+
+
+def refining_stage() -> Stage:
+    """Scalar stage lambda (|t - 1/2| + 1e-12): nearly singular at t = 1/2, a
+    point of the 9-point t grid but not of the 18-point one, so certification
+    refines to (18, 256) and the winding checks run on the 128-point grid."""
+
+    def evaluate(t, lams):
+        return ((abs(t - 0.5) + 1e-12) * lams)[:, None, None]
+
+    return Stage("refine past the first grid", 0.0, 1.0, evaluate, 1)
+
+
+def certified_symbols():
+    """The three dimerized limits, defective(0), and 15 seeded random symbols
+    of shapes (2, 1), (2, 2) and (4, 1)."""
+    models = [dimerized_plus(), dimerized_minus(), dimerized_trivial(), defective(0.0)]
+    for seed, (dim_v, hop_range) in zip((31, 32, 33), ((2, 1), (2, 2), (4, 1))):
+        models += random_chiral_ensemble(EnsembleSpec(seed=seed, count=5, dim_v=dim_v, hop_range=hop_range))
+    return models
+
+
+def counting(stages, calls):
+    """The stages with evaluate wrapped to tally (stage index, t) on 128-point grids."""
+    wrapped = []
+    for i, stage in enumerate(stages):
+
+        def evaluate(t, lams, i=i, inner=stage.evaluate):
+            if len(lams) == 128:
+                calls[(i, t)] = calls.get((i, t), 0) + 1
+            return inner(t, lams)
+
+        wrapped.append(Stage(stage.description, stage.t_start, stage.t_end, evaluate, stage.size))
+    return wrapped
+
+
+class TestCertifyPath:
+    """certify_path shares one evaluation per (stage, t, grid) and must match the reference bit for bit."""
+
+    @pytest.mark.parametrize("index", range(19))
+    def test_matches_reference(self, index):
+        stages = full_deformation(certified_symbols()[index]).stages
+        certificates, windings = certify_path(stages)
+        ref_certificates, ref_windings = reference_certify_path(stages)
+        assert certificates == ref_certificates
+        assert windings == ref_windings
+
+    def test_refined_grid_matches_reference(self):
+        certificates, windings = certify_path([refining_stage()])
+        assert (certificates, windings) == reference_certify_path([refining_stage()])
+        assert windings == [1]
+        # The 1e-12 dip at t = 1/2 is off the refined grid.
+        assert certificates[0] == pytest.approx(0.5 / 17, rel=1e-9)
+
+    @pytest.mark.parametrize("index", [3, 16])
+    def test_one_evaluation_per_stage_and_t(self, index):
+        for stages in (full_deformation(certified_symbols()[index]).stages, [refining_stage()]):
+            calls = {}
+            certify_path(counting(stages, calls))
+            assert {i for i, _ in calls} == set(range(len(stages)))
+            assert max(calls.values()) == 1
+
+
+def deformed_models():
+    """Every model TestFullDeformation deforms."""
+    models = [dimerized_plus(), dimerized_trivial(), defective(0.0), ssh(1, 2)]
+    models.append(model_from_loop(MatrixLoop(-2, np.concatenate([np.zeros((4, 1, 1)), monomial_loop(2).coeffs]))))
+    models += random_chiral_ensemble(EnsembleSpec(seed=60, count=6, dim_v=2, hop_range=2, gap_floor=0.15))
+    models += random_chiral_ensemble(EnsembleSpec(seed=88, count=3, dim_v=4, hop_range=1, gap_floor=0.2))
+    return models
+
+
+class TestEndpointCheck:
+    """full_deformation counts the endpoint's kernels at the decay minimum, not the 64-cell floor."""
+
+    @staticmethod
+    def check(endpoint: MatrixLoop):
+        cm = model_from_loop(endpoint)
+        cells = _decay_min_cells(decay_scale_estimate(cm), cm.hop_range, DEFAULT_TOL)
+        short = edge_modes_truncated(cm, cells=cells)
+        auto = edge_modes_truncated(cm)
+        assert short.truncation_cells == cells < auto.truncation_cells
+        assert (short.dim_ker_pm, short.dim_ker_mp) == (auto.dim_ker_pm, auto.dim_ker_mp)
+
+    @pytest.mark.parametrize("powers", [[1, 1, -1, 0], [1, -1, -1, 0, 0], [0]])
+    def test_diagonal_monomials(self, powers):
+        self.check(diagonal_monomials(powers))
+
+    @pytest.mark.parametrize("index", range(14))
+    def test_deformation_endpoints(self, index):
+        path = full_deformation(deformed_models()[index])
+        self.check(path.endpoint)
