@@ -280,20 +280,6 @@ def _cmd_winding(args, tol) -> int:
     return 0
 
 
-def _edge_report_dict(report) -> dict:
-    return {
-        "dim_ker_pm": report.dim_ker_pm,
-        "dim_ker_mp": report.dim_ker_mp,
-        "edge_index": report.edge_index,
-        "method": report.method,
-        "singular_values_near_zero": report.singular_values_near_zero,
-        "truncation_cells": report.truncation_cells,
-        "localization_lengths": report.localization_lengths,
-        "dim_edge_total": report.dim_edge_total,
-        "graded_decay_dims": report.graded_decay_dims,
-    }
-
-
 def _cmd_edge(args, tol) -> int:
     model, grading, raw = _resolve_model(args, tol)
     cm = _require_chiral(model, grading, args, tol)
@@ -310,10 +296,10 @@ def _cmd_edge(args, tol) -> int:
                 raise
             companion = None
     main = truncated or companion
-    doc.update(_edge_report_dict(main))
+    doc.update(main.to_dict())
     if truncated is not None and companion is not None:
         doc["method"] = "both"
-        doc["companion"] = _edge_report_dict(companion)
+        doc["companion"] = companion.to_dict()
         doc["routes_agree"] = (truncated.dim_ker_pm, truncated.dim_ker_mp) == (
             companion.dim_ker_pm,
             companion.dim_ker_mp,

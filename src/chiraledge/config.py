@@ -52,14 +52,20 @@ CERT_GRID_K = 128
 CERT_GRID_CAP = 2**12
 
 # Half-space truncation sizes.  Dense SVD up to DENSE_SVD_MAX matrix dimension;
-# beyond that the kernel count switches to sparse shift-invert eigensolves.
+# beyond that the kernel count takes one sparse shift-invert eigensolve of the
+# augmented matrix [[0, T], [T*, 0]].  The switch sits at the measured
+# crossover: per section, mean over ssh(0.9, 1), ssh(1, 0.9) and three (2, 2)
+# and three (4, 2) random draws, fastest of 3 calls, two runs, one BLAS thread:
+#   dimension   128      160      192       256        384      768
+#   dense SVD   4.6-5.5  8.2-9.6  14.3-14.5 26.7-31.6  78-88    658-739 ms
+#   augmented   5.3-7.3  6.7-8.6  8.2-9.2   10.0-12.7  18-19    36-47 ms
 # The kernel threshold scale smax is the section's largest singular value on
 # the dense path and the symbol's MatrixLoop.norm_bound() on the sparse path;
 # both are valid because a finite section's norm is at most the sup of
 # ||h_pm(lambda)|| over the unit circle.
 CELLS_MIN_DEFAULT = 64
 CELLS_CAP = 32768
-DENSE_SVD_MAX = 768
+DENSE_SVD_MAX = 144
 
 # Fraction of ensemble draws given a deliberately singular leading hop block.
 SINGULAR_DRAW_FRACTION = 0.2

@@ -18,12 +18,18 @@ free; the sparse path takes it from MatrixLoop.norm_bound() of h_pm, a
 rigorous upper bound on sup over |lambda| = 1 of ||h_pm(lambda)||.  Both are
 valid scales because a finite section's norm is at most that supremum, the
 norm of the half-infinite Toeplitz operator (Boettcher & Silbermann).
+
+Sections above config.DENSE_SVD_MAX skip the O(n^3) SVD: one shift-invert
+eigensolve of the augmented Hermitian matrix [[0, T], [T*, 0]], with
+eigenvalues +-sigma_i and eigenvectors (u_i, +-v_i) / sqrt(2), gives the
+small singular values.  Unlike T*T it does not square sigma (ssh(0.97, 1) at
+875 cells: 1.573e-13, where T*T gave 1.65e-8).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.sparse
@@ -103,6 +109,10 @@ class EdgeReport:
     kernel_vectors_pm: np.ndarray | None = None
     kernel_vectors_mp: np.ndarray | None = None
 
+    def to_dict(self) -> dict:
+        """Every field but the kernel vectors, for the JSON reports."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if not f.name.startswith("kernel_vectors")}
+
 
 def _cell_norms(vec: np.ndarray, cells: int) -> np.ndarray:
     return np.linalg.norm(vec.reshape(cells, -1), axis=1)
@@ -153,39 +163,13 @@ def _left_localized(vectors: np.ndarray, cells: int) -> tuple[int, np.ndarray]:
     return int(sel.sum()), ortho @ basis[:, sel]
 
 
-def _small_singular_system(gram, smax: float, want: int, tol: Tolerances):
-    """Eigenpairs of a Gram matrix below the kernel band, by shift-invert.
-
-    Returns (sigmas ascending, vectors, ambiguous, complete); complete is False
-    when every returned eigenvalue is still inside the band, i.e. `want` was
-    too small to see the spectrum above it.
-    """
-    dim = gram.shape[0]
-    k = min(want, dim - 2)
-    shift = -((10 * tol.kernel * smax) ** 2)
-    v0 = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
-    vals, vecs = scipy.sparse.linalg.eigsh(gram, k=k, sigma=shift, which="LM", v0=v0)
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    sigmas = np.sqrt(np.clip(vals, 0.0, None))
-    small = sigmas < tol.kernel * smax
-    ambiguous = (~small) & (sigmas < 10 * tol.kernel * smax)
-    complete = bool(sigmas[-1] >= 10 * tol.kernel * smax) or k == dim - 2
-    return sigmas, vecs, small, ambiguous, complete
-
-
 def _truncated_kernel_counts(cm: ChiralModel, cells: int, tol: Tolerances):
     dim = cells * cm.dim_plus
     if dim <= DENSE_SVD_MAX:
-        t = toeplitz_block(cm, cells, "pm")
-        u, s, vh = np.linalg.svd(t)
-        smax = float(s[0])
-        small = s < tol.kernel * smax
-        ambiguous = (~small) & (s < 10 * tol.kernel * smax)
-        right = vh.conj().T[:, small]
-        left = u[:, small]
-        near = s[small | ambiguous]
-        amb = bool(ambiguous.any())
+        u, sigmas, vh = np.linalg.svd(toeplitz_block(cm, cells, "pm"))
+        tau = tol.kernel * float(sigmas[0])
+        small = sigmas < tau
+        right, left = vh.conj().T[:, small], u[:, small]
     else:
         q = cm.dim_plus
         symbol = cm.symbol("pm")
@@ -198,23 +182,41 @@ def _truncated_kernel_counts(cm: ChiralModel, cells: int, tol: Tolerances):
         t = scipy.sparse.csr_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
         )
-        gram_r = (t.conj().T @ t).tocsc()
-        gram_l = (t @ t.conj().T).tocsc()
+        aug = scipy.sparse.bmat([[None, t], [t.conj().T, None]], format="csc")
         smax = symbol.norm_bound()
-        want = 4 * cm.hop_range * cm.dim_plus + 8
+        tau = tol.kernel * smax
+        v0 = np.full(2 * dim, 1.0 / math.sqrt(2 * dim), dtype=complex)
+        k = 2 * cm.hop_range * q + 2
         while True:
-            s_r, vec_r, small_r, amb_r, complete_r = _small_singular_system(gram_r, smax, want, tol)
-            s_l, vec_l, small_l, amb_l, complete_l = _small_singular_system(gram_l, smax, want, tol)
-            if complete_r and complete_l:
+            k = min(k, 2 * dim - 2)
+            # The shift is small but not zero: at zero, an exactly singular
+            # section returned values that are not singular values of T.
+            # tol bounds the relative error of the returned Ritz values.  Those
+            # inside the band reach rounding level within a few steps either
+            # way; those beyond it need only show that they lie past 10 tau.
+            # They sit at the edge of a dense continuum: converging them to
+            # machine precision took 14 s on ssh(1, 2) at 1500 cells, this
+            # tol 0.07 s.
+            vals, vecs = scipy.sparse.linalg.eigsh(
+                aug, k=k, sigma=1e-9 * smax, which="LM", v0=v0, tol=1e-3
+            )
+            # Every eigenvalue inside (-10 tau, 10 tau) is present once the
+            # returned ones reach past that band on both sides.
+            if (vals.min() <= -10 * tau and vals.max() >= 10 * tau) or k == 2 * dim - 2:
                 break
-            want *= 2
-        right = vec_r[:, small_r]
-        left = vec_l[:, small_l]
-        near = np.sort(np.concatenate([s_r[small_r | amb_r], s_l[small_l | amb_l]]))[::-1]
-        amb = bool(amb_r.any() or amb_l.any())
+            k *= 2
+        # Eigenvalues come in +-sigma pairs; the bottom halves of the small
+        # ones' eigenvectors span the right singular vectors, the top halves
+        # the left ones.
+        small = np.abs(vals) < tau
+        m = int(small.sum()) // 2
+        right = np.linalg.svd(vecs[dim:, small], full_matrices=False)[0][:, :m]
+        left = np.linalg.svd(vecs[:dim, small], full_matrices=False)[0][:, :m]
+        sigmas = np.sort(np.abs(vals))[1::2][::-1]
+    near = sigmas[sigmas < 10 * tau]
     pm, pm_vecs = _left_localized(right, cells)
     mp, mp_vecs = _left_localized(left, cells)
-    return pm, mp, pm_vecs, mp_vecs, near, amb
+    return pm, mp, pm_vecs, mp_vecs, near, bool((near >= tau).any())
 
 
 def decay_scale_estimate(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> float | None:

@@ -141,12 +141,18 @@ def winding_roots(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> int:
 
 
 def full_winding(cm: ChiralModel, initial_samples: int = 512, tol: Tolerances = DEFAULT_TOL) -> WindingResult:
-    """Phase-method winding cross-checked against root counting when available."""
+    """Phase-method winding cross-checked against root counting when available.
+
+    Raises NonConvergent when the two methods disagree: the phase unwrap can
+    miss a root pair that lies between two samples.
+    """
     phase = winding_phase(cm, initial_samples=initial_samples, tol=tol)
     try:
         roots = winding_roots(cm, tol)
     except (GapNotCertified, NonConvergent):
         roots = None
+    if roots is not None and roots != phase.method_phase:
+        raise NonConvergent(f"phase winding {phase.method_phase} disagrees with root counting {roots}")
     return WindingResult(
         winding=phase.method_phase,
         method_phase=phase.method_phase,

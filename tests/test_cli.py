@@ -7,6 +7,8 @@ from chiraledge.cli import main
 from chiraledge.fixtures import ssh
 from chiraledge.models import save_model
 
+from test_winding import root_pair_between_samples
+
 
 @pytest.fixture
 def ssh_file(tmp_path):
@@ -88,6 +90,15 @@ class TestWindingCommand:
         assert doc["winding"] == 1
         assert doc["method_roots"] == 1
         assert doc["meta"]["tool"] == "chiraledge"
+
+    def test_method_disagreement_exits_1(self, capsys, tmp_path):
+        cm = root_pair_between_samples()
+        path = tmp_path / "root_pair.json"
+        save_model(path, cm.base, cm.grading)
+        code, out, err = run(capsys, "winding", str(path))
+        assert code == 1
+        assert out == ""
+        assert json.loads(err)["error"] == "NonConvergent"
 
 
 class TestSpectrumCommand:

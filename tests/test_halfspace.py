@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg
+from hypothesis import assume, example, given, strategies as st
 
-from chiraledge import winding
+from chiraledge import halfspace, winding
 from chiraledge.companion import build_companion, propagate
-from chiraledge.config import DENSE_SVD_MAX
+from chiraledge.config import DEFAULT_TOL
 from chiraledge.errors import AmbiguousKernel, GapNotCertified, NonConvergent, SingularLeadingHop, TooFewCells
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
 from chiraledge.halfspace import (
@@ -201,14 +202,19 @@ class TestEdgeModesTruncated:
         ids=["ssh", "defective", "random-4-2"],
     )
     def test_sparse_path_matches_dense(self, make):
-        # The largest section on the dense path against the smallest on the
-        # sparse path; with explicit cells an ambiguous count would raise.
+        # Both branches on the same sections: the automatic size, which is at
+        # least the decay minimum, and twice that, where the kernel singular
+        # values are zero to rounding.
         cm = make()
-        cells = DENSE_SVD_MAX // cm.dim_plus
-        assert (cells + 1) * cm.dim_plus > DENSE_SVD_MAX
-        dense = edge_modes_truncated(cm, cells=cells)
-        sparse = edge_modes_truncated(cm, cells=cells + 1)
-        assert (dense.dim_ker_pm, dense.dim_ker_mp) == (sparse.dim_ker_pm, sparse.dim_ker_mp)
+        cells = edge_modes_truncated(cm).truncation_cells
+        for size in (cells, 2 * cells):
+            dense, sparse = both_branches(cm, size)
+            assert (dense[0], dense[1], dense[5], len(dense[4])) == (
+                sparse[0],
+                sparse[1],
+                sparse[5],
+                len(sparse[4]),
+            )
 
     def test_slow_decay_needs_no_largest_eigenvalue_solve(self, monkeypatch):
         # smax must come from the symbol's norm bound: an ARPACK largest-
@@ -225,6 +231,49 @@ class TestEdgeModesTruncated:
         assert (report.dim_ker_pm, report.dim_ker_mp) == (1, 0)
         assert report.truncation_cells == 3224
         assert calls and all(sigma is not None for sigma in calls)
+
+
+def both_branches(cm, cells):
+    """_truncated_kernel_counts of one section by the dense SVD and by the augmented eigensolve."""
+    results = []
+    for switch in (np.inf, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(halfspace, "DENSE_SVD_MAX", switch)
+            results.append(halfspace._truncated_kernel_counts(cm, cells, DEFAULT_TOL))
+    return results
+
+
+class TestAugmentedKernelCount:
+    @given(
+        radius=st.floats(0.5, 0.9),
+        phase=st.floats(-np.pi, np.pi),
+        exponent=st.floats(-9.0, -5.0),
+    )
+    @example(radius=0.8, phase=0.3, exponent=-6.5)
+    def test_planted_singular_value(self, radius, phase, exponent):
+        # The section of lambda - a has one small singular value, about
+        # |a|^N, planted at 10^exponent * smax: below the kernel threshold
+        # tol.kernel = 1e-7, inside the undecidable band [1e-7, 1e-6), or above.
+        a = radius * np.exp(1j * phase)
+        cm = model_from_loop(MatrixLoop(0, np.array([[[-a]], [[1.0]]])))
+        smax = cm.symbol("pm").norm_bound()
+        cells = max(8, round((exponent * np.log(10) + np.log(smax)) / np.log(radius)))
+        sigmas = np.linalg.svd(toeplitz_block(cm, cells), compute_uv=False)
+        # The branches scale tol.kernel by different valid norms (the
+        # section's and the symbol's); skip values between their thresholds.
+        for threshold in (DEFAULT_TOL.kernel, 10 * DEFAULT_TOL.kernel):
+            low, high = sorted((threshold * sigmas[0], threshold * smax))
+            assume(not low * (1 - 1e-3) <= sigmas[-1] <= high * (1 + 1e-3))
+        dense, sparse = both_branches(cm, cells)
+        assert (dense[0], dense[1], dense[5]) == (sparse[0], sparse[1], sparse[5])
+        assert np.allclose(sparse[4], dense[4], rtol=1e-5, atol=0)
+
+    def test_each_kernel_singular_value_listed_once(self):
+        # ssh(0.97, 1) at its automatic 538 cells has one kernel singular
+        # value, 4.5e-9; the Gram matrices T*T and TT* listed it twice.
+        dense, sparse = both_branches(ssh(0.97, 1.0), 538)
+        assert len(dense[4]) == len(sparse[4]) == 1
+        assert sparse[4][0] == pytest.approx(dense[4][0], rel=1e-6)
 
 
 class TestEdgeModesCompanion:

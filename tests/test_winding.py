@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from chiraledge.errors import GapNotCertified, UnbalancedGrading
+from chiraledge.errors import GapNotCertified, NonConvergent, UnbalancedGrading
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
+from chiraledge.loops import model_from_loop
+from chiraledge.models import MatrixLoop
 from chiraledge.verify import EnsembleSpec, random_chiral_ensemble
 from chiraledge.winding import (
     block_det_poly_coeffs,
@@ -96,7 +98,24 @@ class TestWindingRoots:
         assert winding_roots(dimerized_minus()) == -1
 
 
+def root_pair_between_samples():
+    """h = (lambda - a)^2 / lambda with a double root just inside the circle, W = 1.
+
+    The root sits half a step of the 512-point grid off a sample, so the phase
+    turns by about 5.6 rad between two samples and its principal value looks
+    small: the phase unwrap alone reads W = 0.
+    """
+    a = (1 - 1e-3) * np.exp(1j * np.pi / 512)
+    return model_from_loop(MatrixLoop(-1, np.array([[[a * a]], [[-2 * a]], [[1.0]]], dtype=complex)))
+
+
 class TestMethodAgreement:
+    def test_disagreement_refused(self):
+        cm = root_pair_between_samples()
+        assert winding_roots(cm) == 1
+        with pytest.raises(NonConvergent):
+            full_winding(cm)
+
     def test_ensemble_agreement(self):
         for spec in (
             EnsembleSpec(seed=31, count=25, dim_v=2, hop_range=2, gap_floor=0.08),
