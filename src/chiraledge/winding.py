@@ -114,18 +114,29 @@ def block_det_poly_coeffs(cm: ChiralModel, which: str = "pm", tol: Tolerances = 
     return coeffs
 
 
-def _deflate_leading(coeffs: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Trim numerically-zero leading coefficients (singular leading hop blocks)."""
+def _deflate(coeffs: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Trim numerically-zero leading coefficients (singular leading hop blocks)
+    and set numerically-zero low-order ones to exactly 0.
+
+    np.roots returns a root at exactly 0 for each zero low-order coefficient;
+    left as fit noise of size eps, a k-fold root at 0 splits into a ring of
+    radius about eps^(1/k).
+    """
     mags = np.abs(coeffs)
     floor = rel_tol * float(mags.max())
     top = len(coeffs)
     while top > 1 and mags[top - 1] <= floor:
         top -= 1
-    return coeffs[:top]
+    low = 0
+    while low < top - 1 and mags[low] <= floor:
+        low += 1
+    out = coeffs[:top].copy()
+    out[:low] = 0.0
+    return out
 
 
 def block_det_poly_roots(cm: ChiralModel, which: str = "pm", tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    coeffs = _deflate_leading(block_det_poly_coeffs(cm, which, tol), tol.coeff_trim)
+    coeffs = _deflate(block_det_poly_coeffs(cm, which, tol), tol.coeff_trim)
     if len(coeffs) == 1:
         return np.array([], dtype=complex)
     return np.roots(coeffs[::-1])

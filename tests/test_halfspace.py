@@ -151,6 +151,14 @@ class TestDecayScaleEstimate:
         with pytest.raises(TypeError):
             decay_scale_estimate(cm)
 
+    @pytest.mark.parametrize(
+        "powers", [[1, 1, -1], [1, 1, -1, 0], [1, -1, -1, 0, 0], [1, 1, 1, 1, -1, -1, -1, 0]]
+    )
+    def test_monomial_symbols_decay_at_once(self, powers):
+        # det h = lambda^W: every root of lambda^(R q) det h is exactly 0, not
+        # a ring of fit noise of radius eps^(1/k).
+        assert decay_scale_estimate(model_from_loop(diagonal_monomials(powers))) == 0.0
+
 
 class TestEdgeModesTruncated:
     def test_dimerized_fixtures(self):
