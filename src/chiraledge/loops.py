@@ -83,13 +83,30 @@ def model_from_loop(loop: MatrixLoop, tol: Tolerances = DEFAULT_TOL) -> ChiralMo
 
 @dataclass(eq=False)
 class Stage:
-    """One parameterized leg of a homotopy; evaluate(t, lams) -> (K, n, n)."""
+    """One parameterized leg of a homotopy; evaluate(t, lams) -> (K, n, n).
+
+    The full matrix is block diagonal up to a permutation: moving(t, lams) is
+    the block the stage moves and fixed(lams) gives the (sigma_min, sigma_max,
+    det) of the rest at each point.  Without them the whole matrix moves.
+    unitary_in_t marks a stage whose t enters only through unitary factors
+    with t-independent determinant, so its singular values and determinant
+    are those at t_start.
+    """
 
     description: str
     t_start: float
     t_end: float
     evaluate: object
     size: int
+    moving: object = None
+    fixed: object = None
+    unitary_in_t: bool = False
+
+    def __post_init__(self):
+        if self.moving is None:
+            self.moving = self.evaluate
+        if self.fixed is None:
+            self.fixed = lambda lams: (np.inf, 0.0, 1.0)
 
 
 @dataclass(eq=False)
@@ -149,7 +166,8 @@ class _Builder:
         self.tail: dict[int, int] = {}
         self.n = active_size
 
-    def _full_eval(self, sub_idx, sub_eval):
+    def _parts(self, sub_idx, sub_eval):
+        """The full-matrix evaluator, and fixed(lams) of the rest."""
         active_idx = list(self.active_idx)
         active = self.active
         tail = dict(self.tail)
@@ -163,26 +181,42 @@ class _Builder:
         else:
             include_active = False
         others = sorted((c, p) for c, p in tail.items() if c not in sub_set)
+        powers = np.array([p for _, p in others], dtype=int)
         sub_arr = np.asarray(sub_idx, dtype=int)
         act_arr = np.asarray(active_idx, dtype=int)
+        fixed_active = active if active_idx and not include_active else None
 
         def ev(t, lams):
             lams = np.asarray(lams, dtype=complex)
             k = lams.shape[0]
             out = np.zeros((k, n, n), dtype=complex)
-            if active_idx and not include_active:
-                out[:, act_arr[:, None], act_arr[None, :]] = active(lams)
+            if fixed_active is not None:
+                out[:, act_arr[:, None], act_arr[None, :]] = fixed_active(lams)
             for c, p in others:
                 out[:, c, c] = lams**p
             out[:, sub_arr[:, None], sub_arr[None, :]] = sub_eval(t, lams)
             return out
 
-        return ev
+        def fixed(lams):
+            lams = np.asarray(lams, dtype=complex)
+            channels = np.abs(lams[:, None] ** powers[None, :])
+            lo = channels.min(axis=1, initial=np.inf)
+            hi = channels.max(axis=1, initial=0.0)
+            det = lams ** powers.sum()
+            if fixed_active is not None:
+                block = fixed_active(lams)
+                sv = np.linalg.svd(block, compute_uv=False)
+                lo, hi = np.minimum(lo, sv[:, -1]), np.maximum(hi, sv[:, 0])
+                det = det * np.linalg.det(block)
+            return lo, hi, det
 
-    def add_stage(self, description, t_start, t_end, sub_idx, sub_eval):
-        ev = self._full_eval(sub_idx, sub_eval)
-        self.stages.append(Stage(description, float(t_start), float(t_end), ev, self.n))
-        return ev
+        return ev, fixed
+
+    def add_stage(self, description, t_start, t_end, sub_idx, sub_eval, unitary_in_t=False):
+        ev, fixed = self._parts(sub_idx, sub_eval)
+        self.stages.append(
+            Stage(description, float(t_start), float(t_end), ev, self.n, sub_eval, fixed, unitary_in_t)
+        )
 
     def stabilize(self, extra: int) -> list:
         new = list(range(self.n, self.n + extra))
@@ -200,8 +234,9 @@ class _Builder:
     def rotate_product(self, description, idx_fg, idx_one, f_loop, g_eval):
         """Path from diag(F G, 1) to diag(G, F) on the paired coordinates.
 
-        f_loop is a MatrixLoop (typically a monomial), g_eval a callable; the
-        start state must already be diag(F*G, 1) on these coordinates.
+        f_loop is a monomial loop, g_eval a callable; the start state must
+        already be diag(F*G, 1) on these coordinates.  t enters only through
+        rot diag(F, 1) rot^T, unitary on the circle, so the stage is unitary_in_t.
         """
         m = len(idx_fg)
         sub_idx = list(idx_fg) + list(idx_one)
@@ -219,7 +254,7 @@ class _Builder:
             right[:, m:, m:] = np.eye(m)
             return rot @ left @ rot.T @ right
 
-        self.add_stage(description, 0.0, 0.5 * np.pi, sub_idx, sub_eval)
+        self.add_stage(description, 0.0, 0.5 * np.pi, sub_idx, sub_eval, unitary_in_t=True)
 
     def swap_channels(self, i: int, j: int):
         pi, pj = self.tail[i], self.tail[j]
@@ -238,6 +273,7 @@ class _Builder:
             0.5 * np.pi,
             [i, j],
             sub_eval,
+            unitary_in_t=True,
         )
         self.tail[i], self.tail[j] = pj, pi
 
@@ -258,6 +294,11 @@ def certify_path(
 ):
     """Sampled invertibility certificates and per-stage windings.
 
+    Singular values are those of the stage's moving block at each grid point
+    and of its fixed rest, taken once per momentum grid; the determinant is
+    their product.  A stage constant in t or unitary_in_t is certified and
+    wound at t_start alone, so it is exact in t and sampled in lambda.
+
     Raises CertificateFailed when a stage's minimum singular value on its
     refined grid falls below 1e-9 of its largest, or when the winding of the
     determinant changes within or across stages.
@@ -265,22 +306,23 @@ def certify_path(
     certificates = []
     windings = []
     for stage in stages:
-        constant = stage.t_start == stage.t_end
-        winding_ts = [stage.t_start] if constant else np.linspace(stage.t_start, stage.t_end, 5)
+        one_t = stage.t_start == stage.t_end or stage.unitary_in_t
+        winding_ts = [stage.t_start] if one_t else np.linspace(stage.t_start, stage.t_end, 5)
         wanted = {float(t) for t in winding_ts}
         shared = {}  # t -> (grid, det) from the first certificate grid holding t
         nt, nk = grid_t, grid_k
         while True:
-            ts = [stage.t_start] if constant else np.linspace(stage.t_start, stage.t_end, nt)
+            ts = [stage.t_start] if one_t else np.linspace(stage.t_start, stage.t_end, nt)
             lams = np.exp(2j * np.pi * np.arange(nk) / nk)
-            mn, mx = np.inf, 0.0
+            lo, hi, fixed_det = stage.fixed(lams)
+            mn, mx = float(np.min(lo)), float(np.max(hi))
             for t in map(float, ts):
-                values = stage.evaluate(t, lams)
+                values = stage.moving(t, lams)
                 sv = np.linalg.svd(values, compute_uv=False)
                 mn = min(mn, float(sv[:, -1].min()))
                 mx = max(mx, float(sv[:, 0].max()))
                 if t in wanted and t not in shared:
-                    shared[t] = (lams, np.linalg.det(values))
+                    shared[t] = (lams, np.linalg.det(values) * fixed_det)
             if mn > 1e-9 * mx:
                 break
             if nt >= grid_cap and nk >= grid_cap:
@@ -300,7 +342,7 @@ def certify_path(
                 # midpoints are evaluated afresh.
                 if grid is not None and lams.shape == grid.shape and np.array_equal(lams, grid):
                     return dets
-                return np.linalg.det(stage.evaluate(t, lams))
+                return np.linalg.det(stage.moving(t, lams)) * stage.fixed(lams)[2]
 
             w, *_ = winding_of_curve(det_curve, initial_samples=128)
             ws.add(w)
@@ -457,7 +499,9 @@ def _linearize_stages(builder: _Builder, planes: np.ndarray):
 
     # Move p from block 0 to block d-1 by one conjugation.
     ev = conj_rot_stage(current, 0, d - 1)
-    builder.add_stage("linearize: move p to the last block slot", 0.0, 0.5 * np.pi, sub_idx, ev)
+    builder.add_stage(
+        "linearize: move p to the last block slot", 0.0, 0.5 * np.pi, sub_idx, ev, unitary_in_t=True
+    )
     current = _per_grid(lambda lams, ev=ev: ev(0.5 * np.pi, lams))
 
     # Build the signed cyclic shift as d-1 left rotations.
@@ -474,6 +518,7 @@ def _linearize_stages(builder: _Builder, planes: np.ndarray):
             0.5 * np.pi,
             sub_idx,
             ev,
+            unitary_in_t=True,
         )
         current = _per_grid(lambda lams, ev=ev: ev(0.5 * np.pi, lams))
 
