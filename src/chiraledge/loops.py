@@ -672,10 +672,9 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
     R here is the natural hopping range of the block symbol (zero hop planes do
     not count), and W its winding.  The endpoint's edge index, computed by the
     truncated half-space route on the reconstructed model, is recorded in the
-    notes and must equal W.  That section is sized at the endpoint's decay
-    minimum (halfspace._decay_min_cells of its decay estimate, 8-12 cells for
-    small symbols) rather than the 64-cell floor of the automatic size, and
-    falls back to the automatic size when no decay estimate is available.
+    notes and must equal W.  The endpoint is a diagonal of monomials, whose
+    edge modes decay at once, so that section is sized at the decay minimum
+    of rate 0, 8R cells, rather than the 64-cell floor of the automatic size.
     """
     if not cm.balanced:
         raise UnbalancedGrading("deformation needs a balanced graded model")
@@ -693,11 +692,10 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
     endpoint = diagonal_monomials(powers)
     counts = (powers.count(1), powers.count(-1), powers.count(0))
 
-    from .halfspace import _decay_min_cells, decay_scale_estimate, edge_modes_truncated
+    from .halfspace import _decay_min_cells, edge_modes_truncated
 
     endpoint_cm = model_from_loop(endpoint, tol)
-    q = decay_scale_estimate(endpoint_cm, tol)
-    cells = None if q is None else _decay_min_cells(q, endpoint_cm.hop_range, tol)
+    cells = _decay_min_cells(0.0, endpoint_cm.hop_range, tol)
     endpoint_edge = edge_modes_truncated(endpoint_cm, cells=cells, tol=tol)
     return HomotopyPath(
         stages=builder.stages,

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from chiraledge import halfspace
 from chiraledge.config import CERT_GRID_CAP, CERT_GRID_K, CERT_GRID_T, DEFAULT_TOL
 from chiraledge.errors import CertificateFailed, SpectrumOnCriticalLine
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
@@ -431,6 +432,16 @@ def deformed_models():
     return models
 
 
+def recording(fn, results):
+    """fn, appending each result to results."""
+
+    def wrapped(*args, **kwargs):
+        results.append(fn(*args, **kwargs))
+        return results[-1]
+
+    return wrapped
+
+
 class TestEndpointCheck:
     """full_deformation counts the endpoint's kernels at the decay minimum, not the 64-cell floor."""
 
@@ -448,6 +459,16 @@ class TestEndpointCheck:
         self.check(diagonal_monomials(powers))
 
     @pytest.mark.parametrize("index", range(14))
-    def test_deformation_endpoints(self, index):
-        path = full_deformation(deformed_models()[index])
+    def test_deformation_endpoints(self, index, monkeypatch):
+        # The endpoint's modes decay at once: full_deformation sizes its
+        # section at 8R cells, and only edge_modes_truncated's check of that
+        # size runs a decay estimate.
+        cm = deformed_models()[index]
+        estimates, reports = [], []
+        monkeypatch.setattr(halfspace, "decay_scale_estimate", recording(halfspace.decay_scale_estimate, estimates))
+        monkeypatch.setattr(halfspace, "edge_modes_truncated", recording(halfspace.edge_modes_truncated, reports))
+        path = full_deformation(cm)
+        monkeypatch.undo()
+        assert len(estimates) == 1
+        assert [r.truncation_cells for r in reports] == [8 * model_from_loop(path.endpoint).hop_range]
         self.check(path.endpoint)
