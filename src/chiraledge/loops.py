@@ -115,13 +115,14 @@ class HomotopyPath:
     certificates: list
     winding_per_stage: list
     endpoint: MatrixLoop
+    grids: list  # (nt, nk) of each stage's final certificate grid
     notes: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "stages": [
-                {"description": s.description, "size": s.size, "certificate": c, "winding": w}
-                for s, c, w in zip(self.stages, self.certificates, self.winding_per_stage)
+                {"description": s.description, "size": s.size, "certificate": c, "winding": w, "grid": list(g)}
+                for s, c, w, g in zip(self.stages, self.certificates, self.winding_per_stage, self.grids)
             ],
             "winding": self.winding_per_stage[0] if self.winding_per_stage else None,
             "endpoint_size": self.endpoint.size,
@@ -299,12 +300,15 @@ def certify_path(
     their product.  A stage constant in t or unitary_in_t is certified and
     wound at t_start alone, so it is exact in t and sampled in lambda.
 
+    Returns (certificates, windings, grids), grids holding each stage's final
+    certificate grid (nt, nk), nt = 1 for a stage certified at one t.
     Raises CertificateFailed when a stage's minimum singular value on its
     refined grid falls below 1e-9 of its largest, or when the winding of the
     determinant changes within or across stages.
     """
     certificates = []
     windings = []
+    grids = []
     for stage in stages:
         one_t = stage.t_start == stage.t_end or stage.unitary_in_t
         winding_ts = [stage.t_start] if one_t else np.linspace(stage.t_start, stage.t_end, 5)
@@ -331,6 +335,7 @@ def certify_path(
                 )
             nt, nk = min(2 * nt, grid_cap), min(2 * nk, grid_cap)
         certificates.append(mn)
+        grids.append((len(ts), nk))
 
         ws = set()
         for t in map(float, winding_ts):
@@ -353,7 +358,7 @@ def certify_path(
         windings.append(ws.pop())
     if len(set(windings)) > 1:
         raise CertificateFailed(f"winding not conserved across stages: {windings}")
-    return certificates, windings
+    return certificates, windings, grids
 
 
 # --- stage generators -------------------------------------------------------
@@ -687,7 +692,7 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
     rank = _projectionize_stages(builder, c_mat, d_mat, tol)
     _sort_stages(builder)
 
-    certificates, windings = certify_path(builder.stages, tol)
+    certificates, windings, grids = certify_path(builder.stages, tol)
     powers = [builder.tail[c] for c in sorted(builder.tail)]
     endpoint = diagonal_monomials(powers)
     counts = (powers.count(1), powers.count(-1), powers.count(0))
@@ -702,6 +707,7 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
         certificates=certificates,
         winding_per_stage=windings,
         endpoint=endpoint,
+        grids=grids,
         notes={
             "counts": counts,
             "projection_rank": rank,

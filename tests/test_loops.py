@@ -72,7 +72,7 @@ def projected(c_mat, d_mat):
     c_mat, d_mat = np.atleast_2d(c_mat).astype(complex), np.atleast_2d(d_mat).astype(complex)
     builder = _Builder(lambda lams: lams[:, None, None] * c_mat + d_mat[None, :, :], c_mat.shape[0])
     rank = _projectionize_stages(builder, c_mat, d_mat, DEFAULT_TOL)
-    _, windings = certify_path(builder.stages)
+    _, windings, _ = certify_path(builder.stages)
     return rank, windings
 
 
@@ -83,7 +83,7 @@ class TestStabilizeAndFactor:
         builder, poly = factored(monomial_loop(-1))
         assert poly.coeffs.shape[0] == 1  # degree 0
         assert np.allclose(poly.coeffs[0], 1.0)
-        certificates, windings = certify_path(builder.stages)
+        certificates, windings, _ = certify_path(builder.stages)
         assert windings == [-1, -1]
         assert all(c > 0 for c in certificates)
 
@@ -92,7 +92,7 @@ class TestStabilizeAndFactor:
         # p = lambda^2, endpoint p (+) lambda^-1.
         w, *_ = winding_of_curve(poly.det_fn())
         assert w == 2
-        _, windings = certify_path(builder.stages)
+        _, windings, _ = certify_path(builder.stages)
         assert set(windings) == {1}
 
     def test_defective_poly_winding(self):
@@ -102,7 +102,7 @@ class TestStabilizeAndFactor:
         assert np.allclose(np.sort_complex(np.roots([1, 1, 0.25])), [-0.5, -0.5])
         w, *_ = winding_of_curve(poly.det_fn())
         assert w == 2
-        _, windings = certify_path(builder.stages)
+        _, windings, _ = certify_path(builder.stages)
         assert set(windings) == {1}
 
 
@@ -345,16 +345,21 @@ class TestCertifyPath:
         # moves by at most a small multiple of n eps sigma_max; 4 n eps
         # sigma_max leaves 4x margin over the largest change seen, n eps sigma_max.
         stages = full_deformation(certified_symbols()[index]).stages
-        certificates, windings = certify_path(stages)
+        certificates, windings, grids = certify_path(stages)
         ref_certificates, ref_windings = reference_certify_path(stages)
         assert windings == ref_windings
+        # No stage here refines; a stage constant or unitary in t is certified at one t.
+        assert grids == [
+            (1 if s.t_start == s.t_end or s.unitary_in_t else CERT_GRID_T, CERT_GRID_K) for s in stages
+        ]
         for stage, cert, ref in zip(stages, certificates, ref_certificates):
             bound = 4 * stage.size * EPS * largest_singular_value(stage)
             assert abs(cert - ref) <= bound, stage.description
 
     def test_refined_grid_matches_reference(self):
-        certificates, windings = certify_path([refining_stage()])
+        certificates, windings, grids = certify_path([refining_stage()])
         assert (certificates, windings) == reference_certify_path([refining_stage()])
+        assert grids == [(18, 256)]
         assert windings == [1]
         # The 1e-12 dip at t = 1/2 is off the refined grid.
         assert certificates[0] == pytest.approx(0.5 / 17, rel=1e-9)
