@@ -17,14 +17,16 @@ diag(lambda, ..., lambda^-1, ..., 1, ...) in four moves:
      ending at the projection loop lambda Q + (1 - Q);
   4. conjugate by plane rotations to sort the diagonal.
 
-Every stage records an invertibility certificate (sampled min singular value
-on its parameter-by-momentum grid) and the winding of its determinant, which
-must be one constant along the whole path.  certify_path evaluates each stage
-once per (t, momentum grid) point and hands the determinants of the
-certificate grid to the winding check, whose 128 initial samples are that
-grid; only bisection midpoints and refined grids are evaluated again.  A
-stage that starts from the end state of earlier ones (the linearization
-chain) computes that state once per momentum grid, not once per t.
+Every stage records an invertibility certificate (min singular value on its
+parameter-by-momentum grid) and the winding of its determinant, which must be
+one constant along the whole path.  certify_path takes an SVD of the block a
+stage moves at each (t, momentum) point and of the fixed rest once per
+momentum grid, and hands the grid's determinants to the winding check, whose
+128 initial samples are that grid.  The rotation stages (factor and split
+rotations, the linearization's move and cyclic rotations, sort swaps) move
+only through unitary factors: they are certified at t_start alone, exact in
+t.  Momentum is sampled for every stage.  A stage that starts from the end
+state of earlier ones computes that state once per momentum grid.
 """
 
 from __future__ import annotations
@@ -85,12 +87,10 @@ def model_from_loop(loop: MatrixLoop, tol: Tolerances = DEFAULT_TOL) -> ChiralMo
 class Stage:
     """One parameterized leg of a homotopy; evaluate(t, lams) -> (K, n, n).
 
-    The full matrix is block diagonal up to a permutation: moving(t, lams) is
-    the block the stage moves and fixed(lams) gives the (sigma_min, sigma_max,
-    det) of the rest at each point.  Without them the whole matrix moves.
-    unitary_in_t marks a stage whose t enters only through unitary factors
-    with t-independent determinant, so its singular values and determinant
-    are those at t_start.
+    Up to a permutation the matrix is block diagonal: moving(t, lams) and a
+    fixed rest, whose (sigma_min, sigma_max, det) per point fixed(lams) gives;
+    by default the whole matrix moves.  unitary_in_t: t enters only through
+    unitary factors of t-independent determinant.
     """
 
     description: str
@@ -199,7 +199,6 @@ class _Builder:
             return out
 
         def fixed(lams):
-            lams = np.asarray(lams, dtype=complex)
             channels = np.abs(lams[:, None] ** powers[None, :])
             lo = channels.min(axis=1, initial=np.inf)
             hi = channels.max(axis=1, initial=0.0)

@@ -116,11 +116,8 @@ def block_det_poly_coeffs(cm: ChiralModel, which: str = "pm", tol: Tolerances = 
 
 def _deflate(coeffs: np.ndarray, rel_tol: float) -> np.ndarray:
     """Trim numerically-zero leading coefficients (singular leading hop blocks)
-    and set numerically-zero low-order ones to exactly 0.
-
-    np.roots returns a root at exactly 0 for each zero low-order coefficient;
-    left as fit noise of size eps, a k-fold root at 0 splits into a ring of
-    radius about eps^(1/k).
+    and zero the low-order ones, so that np.roots puts their roots at exactly 0
+    rather than on a ring of fit noise of radius about eps^(1/k).
     """
     mags = np.abs(coeffs)
     floor = rel_tol * float(mags.max())
