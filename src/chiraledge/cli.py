@@ -28,7 +28,6 @@ from .errors import (
     ParseError,
     RangeZero,
     ShapeMismatch,
-    SingularLeadingHop,
     UnbalancedGrading,
 )
 from .fixtures import FAMILIES, FIXTURE_NAMES, fixture
@@ -289,12 +288,7 @@ def _cmd_edge(args, tol) -> int:
     if args.method in ("truncated", "both"):
         truncated = edge_modes_truncated(cm, cells=args.cells, energy=args.energy, tol=tol)
     if args.method in ("companion", "both"):
-        try:
-            companion = edge_modes_companion(cm, 0.0, tol)
-        except SingularLeadingHop:
-            if args.method == "companion":
-                raise
-            companion = None
+        companion = edge_modes_companion(cm, 0.0, tol)
     main = truncated or companion
     doc.update(main.to_dict())
     if truncated is not None and companion is not None:

@@ -1,8 +1,9 @@
 """Companion-matrix dynamics for the order-2R vector recurrence at fixed energy.
 
 The recurrence  V_E psi_n + sum_r (B_r psi_{n-r} + A_r psi_{n+r}) = 0  is
-advanced one cell to the right by a (2R d_V)-dimensional block companion
-matrix whenever A_R is invertible.  Its generalized eigenvalues split the
+advanced one cell to the right by the pencil A - lambda B of
+recurrence_pencil, which any symbol has; when A_R is invertible, B^-1 A is
+the (2R d_V)-dimensional block companion matrix.  Its eigenvalues split the
 initial-data space into decaying (|lambda| < 1), oscillating (|lambda| = 1)
 and growing (|lambda| > 1) sectors; bases for the sectors come from ordered
 Schur forms so that defective eigenvalues stay well-conditioned.
@@ -22,7 +23,7 @@ from .errors import (
     SingularRightHop,
     ZeroMode,
 )
-from .models import ModelParams
+from .models import MatrixLoop, ModelParams
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,22 +48,34 @@ def _check_leading_hop(model: ModelParams, tol: Tolerances) -> np.ndarray:
     return a_r
 
 
+def recurrence_pencil(symbol: MatrixLoop) -> tuple[np.ndarray, np.ndarray]:
+    """Pencil (A, B) stepping sum_j c_j psi_{n+j} = 0, c_j the symbol's planes -R..R, one cell.
+
+    B = diag(I, ..., I, c_R); A has identity blocks on the superdiagonal and
+    last block row -c_{-R} .. -c_{R-1}.  A singular c_R gives infinite
+    eigenvalues, a singular c_{-R} zero ones.
+    """
+    q = symbol.size
+    n = (symbol.coeffs.shape[0] - 1) * q
+    a = np.zeros((n, n), dtype=complex)
+    a[: n - q, q:] = np.eye(n - q)
+    a[n - q :] = -np.concatenate(symbol.coeffs[:-1], axis=1)
+    b = np.eye(n, dtype=complex)
+    b[n - q :, n - q :] = symbol.coeffs[-1]
+    return a, b
+
+
 def build_companion(model: ModelParams, energy: complex, tol: Tolerances = DEFAULT_TOL) -> CompanionMatrix:
-    """Assemble the block companion matrix advancing 2R stacked cells one step right."""
+    """B^-1 A of the recurrence pencil of H - E: advances 2R stacked cells one step right."""
     a_r = _check_leading_hop(model, tol)
-    d, big_r = model.dim_v, model.hop_range
-    n = 2 * big_r * d
-    c = np.zeros((n, n), dtype=complex)
-    # Superdiagonal identity blocks shift the window by one cell.
-    c[: n - d, d:] = np.eye(n - d)
-    # Last block row solves the recurrence at the window's middle cell for the
-    # new rightmost cell.  The symbol planes of powers -R..R-1 are the block
-    # order B_R, ..., B_1, V - E, A_1, ..., A_{R-1}.
-    planes = model.symbol().coeffs[:-1].copy()
-    planes[big_r] -= complex(energy) * np.eye(d)
+    d = model.dim_v
+    planes = model.symbol().coeffs.copy()
+    planes[model.hop_range] -= complex(energy) * np.eye(d)
+    c, _ = recurrence_pencil(MatrixLoop(-model.hop_range, planes))
+    # B^-1 A: the last block row times inv(A_R), block by block.
     inv_a = np.linalg.inv(a_r)
-    for b, m in enumerate(planes):
-        c[n - d :, b * d : (b + 1) * d] = -inv_a @ m
+    for col in range(0, c.shape[0], d):
+        c[-d:, col : col + d] = inv_a @ c[-d:, col : col + d]
     return CompanionMatrix(energy=complex(energy), matrix=c, model=model)
 
 

@@ -5,8 +5,8 @@ finite Hermitian block-banded matrix whose in-gap spectrum probes the discrete
 spectrum of the half-infinite operator.  For graded models the zero-energy
 kernel splits into the kernels of the two off-diagonal block operators; their
 dimensions are computed either from singular values of the truncated blocks
-(works for singular A_R) or from the intersection of the Dirichlet subspace
-with the decaying sector of the companion matrix (needs invertible A_R).  The
+or from the intersection of the Dirichlet subspace with the decaying sector
+of each block's recurrence pencil; both work for singular A_R.  The
 truncated Hamiltonian and blocks are finite sections of the symbols
 ModelParams.symbol() and ChiralModel.symbol("pm"/"mp"); _section_diagonals
 lays out every section, dense or sparse.  The truncation has a spurious right
@@ -32,19 +32,20 @@ import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .companion import build_companion, spectral_split
+from .companion import build_companion, recurrence_pencil, spectral_split
 from .config import CELLS_CAP, CELLS_MIN_DEFAULT, DENSE_SVD_MAX, DEFAULT_TOL, Tolerances
 from .errors import (
     AmbiguousKernel,
+    BorderlineEigenvalue,
     GapNotCertified,
-    NonConvergent,
-    SingularLeadingHop,
     TooFewCells,
     UnbalancedGrading,
 )
+# build_model is unused here but stays importable: perfbench/spans.py wraps it.
 from .models import ChiralModel, MatrixLoop, ModelParams, build_model
 from .spectrum import GapReport, certified_gap
 
@@ -219,25 +220,14 @@ def _truncated_kernel_counts(cm: ChiralModel, cells: int, tol: Tolerances):
     return pm, mp, pm_vecs, mp_vecs, near, bool((near >= tau).any())
 
 
-def decay_scale_estimate(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> float | None:
-    """Largest |lambda| < 1 among zero-energy companion eigenvalues, if computable.
+def decay_scale_estimate(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> float:
+    """Largest |lambda| < 1 among the zero-energy recurrence eigenvalues, 0 when none.
 
-    Falls back to the roots of the deflated block-determinant polynomials when
-    the leading hop is singular; None when no estimate is available.
+    The eigenvalues of the full symbol's recurrence pencil are the roots of
+    det h_pm and det h_mp; no invertible leading hop is needed.
     """
-    try:
-        c0 = build_companion(cm.base, 0.0, tol)
-        eigs = np.linalg.eigvals(c0.matrix)
-    except SingularLeadingHop:
-        from .winding import block_det_poly_roots
-
-        try:
-            eigs = np.concatenate(
-                [block_det_poly_roots(cm, "pm", tol), block_det_poly_roots(cm, "mp", tol)]
-            )
-        except (NonConvergent, np.linalg.LinAlgError):
-            return None
-    inside = np.abs(eigs)[np.abs(eigs) < 1.0 - tol.circle_band]
+    eigs = np.abs(scipy.linalg.eigvals(*recurrence_pencil(cm.base.symbol())))
+    inside = eigs[eigs < 1.0 - tol.circle_band]
     if len(inside) == 0:
         return 0.0
     return float(inside.max())
@@ -257,8 +247,6 @@ def _decay_min_cells(q: float, hop_range: int, tol: Tolerances) -> int:
 def _cells_target(cm: ChiralModel, tol: Tolerances):
     """Uncapped truncation size pushing the slowest edge decay below the kernel threshold."""
     q = decay_scale_estimate(cm, tol)
-    if q is None:
-        return None, None
     if q <= 1e-12:
         return CELLS_MIN_DEFAULT, q
     return max(CELLS_MIN_DEFAULT, _decay_min_cells(q, cm.hop_range, tol)), q
@@ -274,13 +262,11 @@ def edge_modes_truncated(
     """Kernel dimensions of the truncated graded blocks, left-localized only.
 
     Works for singular A_R.  With cells=None the truncation size is chosen from
-    the decay estimate (or grown until stable when none is available) and
-    ambiguous singular values trigger automatic refinement; with an explicit
-    cells they raise AmbiguousKernel instead.  An explicit cells shorter than
-    the decay minimum (_decay_min_cells of the decay estimate) also raises
-    AmbiguousKernel, since the section would leave a kernel singular value
-    above the threshold and undercount; when no decay estimate is available
-    an explicit cells is used as given.
+    the decay estimate and ambiguous singular values trigger automatic
+    refinement; with an explicit cells they raise AmbiguousKernel instead.  An
+    explicit cells shorter than the decay minimum (_decay_min_cells of the
+    decay estimate) also raises AmbiguousKernel, since the section would leave
+    a kernel singular value above the threshold and undercount.
     """
     if not cm.balanced:
         raise UnbalancedGrading("edge index needs balanced graded components")
@@ -292,24 +278,18 @@ def edge_modes_truncated(
     cap = max(CELLS_MIN_DEFAULT, CELLS_CAP // cm.dim_plus)
     auto = cells is None
     if auto:
-        target, q_est = _cells_target(cm, tol)
-        need_stability = target is None
-        if need_stability:
-            cells = CELLS_MIN_DEFAULT
-        elif target > cap:
+        cells, q_est = _cells_target(cm, tol)
+        if cells > cap:
             # Refusing beats a silent undercount: beyond the cap the kernel
             # singular values cannot be pushed below the threshold.
             raise AmbiguousKernel(
-                f"kernel threshold needs ~{target} cells for decay rate {q_est:.6f}; "
+                f"kernel threshold needs ~{cells} cells for decay rate {q_est:.6f}; "
                 f"cap is {cap}"
             )
-        else:
-            cells = target
     else:
-        need_stability = False
         q_est = decay_scale_estimate(cm, tol)
-        minimum = None if q_est is None else _decay_min_cells(q_est, cm.hop_range, tol)
-        if minimum is not None and cells < minimum:
+        minimum = _decay_min_cells(q_est, cm.hop_range, tol)
+        if cells < minimum:
             # Refusing beats a silent undercount, as for the cap above.
             raise AmbiguousKernel(
                 f"{cells} cells are too few for decay rate {q_est:.6f}; "
@@ -326,17 +306,6 @@ def edge_modes_truncated(
             raise AmbiguousKernel(
                 f"singular values inside the undecidable band at {cells} cells; increase cells"
             )
-        if need_stability:
-            next_cells = min(2 * cells, cap)
-            if next_cells > cells:
-                pm2, mp2, *_ = _truncated_kernel_counts(cm, next_cells, tol)
-                if (pm2, mp2) != (pm, mp):
-                    cells = next_cells
-                    continue
-            elif cells >= cap:
-                raise AmbiguousKernel(
-                    f"kernel counts did not stabilize up to the {cap}-cell cap"
-                )
         break
 
     loc = [
@@ -358,22 +327,6 @@ def edge_modes_truncated(
     )
 
 
-def reduced_sector_model(cm: ChiralModel, sector: str) -> ModelParams:
-    """The scalar-sector recurrence obeyed by zero-energy solutions of one grading.
-
-    At zero energy the dynamics commutes with the grading, so +-supported
-    solutions obey a reduced recurrence whose coefficients are the graded
-    blocks; its symbol is h_pm (resp. h_mp).
-    """
-    if not cm.balanced:
-        raise UnbalancedGrading("sector reduction needs balanced graded components")
-    if sector not in ("plus", "minus"):
-        raise ValueError(f"unknown sector {sector!r}")
-    planes = cm.symbol("pm" if sector == "plus" else "mp").coeffs
-    big_r = cm.hop_range
-    return build_model(cm.dim_plus, big_r, planes[big_r], planes[big_r + 1 :], planes[big_r - 1 :: -1])
-
-
 def _dirichlet_intersection_dim(basis_down: np.ndarray, dirichlet_zeros: int, tol: Tolerances):
     """dim of (decaying sector) ∩ (first `dirichlet_zeros` coordinates = 0)."""
     p = basis_down.shape[1]
@@ -388,30 +341,37 @@ def _dirichlet_intersection_dim(basis_down: np.ndarray, dirichlet_zeros: int, to
 def edge_modes_companion(model, energy: complex = 0.0, tol: Tolerances = DEFAULT_TOL) -> EdgeReport:
     """Edge-mode dimensions from Dirichlet ∩ decaying-sector intersections.
 
-    For a balanced graded model at zero energy the computation runs separately
-    in the two sectors, yielding both kernel dimensions; otherwise only the
-    total edge-mode dimension at the given energy is returned.  Requires an
-    invertible leading hop.
+    For a balanced graded model at zero energy, a QZ of each graded block's
+    recurrence pencil, eigenvalues inside the unit circle first, gives the
+    decaying initial data and both kernel dimensions, for any leading hop.
+    Otherwise only the total edge-mode dimension at the given energy is
+    returned, from the companion matrix, which needs an invertible leading hop.
     """
     if isinstance(model, ChiralModel) and energy == 0:
         cm = model
         if not cm.balanced:
             raise UnbalancedGrading("graded kernel dimensions need balanced components")
-        dims = {}
-        svals = []
-        decay_dims = {}
-        for sector in ("plus", "minus"):
-            reduced = reduced_sector_model(cm, sector)
-            comp = build_companion(reduced, 0.0, tol)
-            split = spectral_split(comp, tol, clean=True)
-            basis = split.basis_down
-            dim, near = _dirichlet_intersection_dim(
-                basis, cm.hop_range * cm.dim_plus, tol
+        dims, decay_dims, svals = [], [], []
+        for which in ("pm", "mp"):
+            _, _, alpha, beta, _, z = scipy.linalg.ordqz(
+                *recurrence_pencil(cm.symbol(which)), sort="iuc", output="complex"
             )
-            dims[sector] = dim
-            decay_dims[sector] = basis.shape[1]
+            finite = beta != 0
+            lams = alpha[finite] / beta[finite]
+            off = np.abs(np.abs(lams) - 1.0)
+            if np.any(off <= tol.circle_band):
+                raise BorderlineEigenvalue(
+                    f"eigenvalue {lams[np.argmin(off)]:.6g} has modulus within "
+                    f"{tol.circle_band:.1e} of the unit circle"
+                )
+            k = int(np.sum(np.abs(lams) < 1.0))
+            dim, near = _dirichlet_intersection_dim(z[:, :k], cm.hop_range * cm.dim_plus, tol)
+            if np.any(near >= tol.kernel):
+                raise AmbiguousKernel(f"{which} Dirichlet singular values inside the undecidable band")
+            dims.append(dim)
+            decay_dims.append(k)
             svals.extend(float(x) for x in near)
-        pm, mp = dims["plus"], dims["minus"]
+        pm, mp = dims
         return EdgeReport(
             dim_ker_pm=pm,
             dim_ker_mp=mp,
@@ -420,7 +380,7 @@ def edge_modes_companion(model, energy: complex = 0.0, tol: Tolerances = DEFAULT
             singular_values_near_zero=svals,
             truncation_cells=None,
             dim_edge_total=pm + mp,
-            graded_decay_dims=(decay_dims["plus"], decay_dims["minus"]),
+            graded_decay_dims=tuple(decay_dims),
         )
 
     base = model.base if isinstance(model, ChiralModel) else model

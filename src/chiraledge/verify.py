@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, NUM_K_DEFAULT, SINGULAR_DRAW_FRACTION, Tolerances
-from .errors import ExhaustedRedraws, SingularLeadingHop
+from .errors import ExhaustedRedraws
 from .halfspace import (
     EdgeReport,
     decay_scale_estimate,
@@ -66,17 +66,14 @@ def case_to_dict(case: VerificationCase) -> dict:
 def verify_bec(cm: ChiralModel, cells: int | None = None, tol: Tolerances = DEFAULT_TOL) -> VerificationCase:
     """Index equality between the bulk winding and the half-space edge index.
 
-    The truncated route provides the edge side unconditionally; when the
-    leading hop is invertible the companion route must agree, and the counting
-    inequalities bound the kernel dimensions by the graded decaying dimensions.
+    The truncated route provides the edge side and the companion route must
+    agree, singular leading hops included; the counting inequalities bound the
+    kernel dimensions by the graded decaying dimensions.
     """
     gap = certified_gap(cm.base, around_energy=0.0)
     winding = full_winding(cm, tol=tol)
     edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gap)
-    try:
-        edge_c = edge_modes_companion(cm, 0.0, tol)
-    except SingularLeadingHop:
-        edge_c = None
+    edge_c = edge_modes_companion(cm, 0.0, tol)
 
     verdicts = {}
     w = winding.winding
@@ -91,34 +88,29 @@ def verify_bec(cm: ChiralModel, cells: int | None = None, tol: Tolerances = DEFA
         verdicts["winding_methods"] = Verdict(
             "pass", {"method_phase": winding.method_phase, "method_roots": winding.method_roots}
         )
-    if edge_c is None:
-        reason = {"reason": "leading hop singular; companion route unavailable"}
-        verdicts["route_agreement"] = Verdict("skip", dict(reason))
-        verdicts["sandwich"] = Verdict("skip", dict(reason))
-    else:
-        verdicts["route_agreement"] = Verdict(
-            "pass"
-            if (edge_c.dim_ker_pm, edge_c.dim_ker_mp) == (edge.dim_ker_pm, edge.dim_ker_mp)
-            else "fail",
-            {
-                "companion": (edge_c.dim_ker_pm, edge_c.dim_ker_mp),
-                "truncated": (edge.dim_ker_pm, edge.dim_ker_mp),
-            },
-        )
-        i_plus, i_minus = edge_c.graded_decay_dims
-        ok = (
-            max(0, w) <= edge.dim_ker_pm <= i_plus
-            and max(0, -w) <= edge.dim_ker_mp <= i_minus
-        )
-        verdicts["sandwich"] = Verdict(
-            "pass" if ok else "fail",
-            {
-                "dim_ker_pm": edge.dim_ker_pm,
-                "dim_ker_mp": edge.dim_ker_mp,
-                "decaying_dims": (i_plus, i_minus),
-                "winding": w,
-            },
-        )
+    verdicts["route_agreement"] = Verdict(
+        "pass"
+        if (edge_c.dim_ker_pm, edge_c.dim_ker_mp) == (edge.dim_ker_pm, edge.dim_ker_mp)
+        else "fail",
+        {
+            "companion": (edge_c.dim_ker_pm, edge_c.dim_ker_mp),
+            "truncated": (edge.dim_ker_pm, edge.dim_ker_mp),
+        },
+    )
+    i_plus, i_minus = edge_c.graded_decay_dims
+    ok = (
+        max(0, w) <= edge.dim_ker_pm <= i_plus
+        and max(0, -w) <= edge.dim_ker_mp <= i_minus
+    )
+    verdicts["sandwich"] = Verdict(
+        "pass" if ok else "fail",
+        {
+            "dim_ker_pm": edge.dim_ker_pm,
+            "dim_ker_mp": edge.dim_ker_mp,
+            "decaying_dims": (i_plus, i_minus),
+            "winding": w,
+        },
+    )
     return VerificationCase(model=cm, winding=winding, edge=edge, gap=gap, verdicts=verdicts)
 
 
@@ -168,7 +160,7 @@ def verify_gap_exclusion(cm: ChiralModel, cells: int = 100, tol: Tolerances = DE
 
     Left-localized truncation eigenvalues in the shrunken gap window must be
     zero up to the truncation splitting eps_N = 10 q^N (floating-point floored),
-    with q the slowest companion decay when available.
+    with q the slowest companion decay.
     """
     if cm.hop_range != 1 or cm.dim_v != 2:
         reason = {"reason": f"hypotheses need R=1, dim_v=2; got R={cm.hop_range}, dim_v={cm.dim_v}"}
@@ -181,10 +173,7 @@ def verify_gap_exclusion(cm: ChiralModel, cells: int = 100, tol: Tolerances = DE
     window = (gap.e_minus + delta, gap.e_plus - delta)
     hits = in_gap_scan(cm.base, cells, window, tol=tol, gap=gap)
     q = decay_scale_estimate(cm, tol)
-    if q is None:
-        eps_n = 1e-7
-    else:
-        eps_n = max(10.0 * q**cells, 1e-12 * cm.base.norm_scale)
+    eps_n = max(10.0 * q**cells, 1e-12 * cm.base.norm_scale)
     offenders = [h for h in hits if h.side == "left" and abs(h.energy) > eps_n]
     verdicts = {
         "zero_confinement": Verdict(

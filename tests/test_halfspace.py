@@ -6,7 +6,13 @@ from hypothesis import assume, example, given, strategies as st
 from chiraledge import halfspace, winding
 from chiraledge.companion import build_companion, propagate
 from chiraledge.config import DEFAULT_TOL
-from chiraledge.errors import AmbiguousKernel, GapNotCertified, NonConvergent, SingularLeadingHop, TooFewCells
+from chiraledge.errors import (
+    AmbiguousKernel,
+    BorderlineEigenvalue,
+    GapNotCertified,
+    SingularLeadingHop,
+    TooFewCells,
+)
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
 from chiraledge.halfspace import (
     decay_scale_estimate,
@@ -125,31 +131,29 @@ class TestToeplitzBlock:
 
 
 class TestDecayScaleEstimate:
-    # A singular leading hop sends the estimate to the determinant-polynomial
-    # fallback; (2, 1) draws of seed 3 contain such models.
-    def _singular_model(self):
-        spec = EnsembleSpec(seed=3, count=20, dim_v=2, hop_range=1, gap_floor=0.05)
-        return next(cm for cm in random_chiral_ensemble(spec) if has_singular_leading_hop(cm))
-
-    def test_fallback_failure_gives_none(self, monkeypatch):
-        cm = self._singular_model()
-        assert decay_scale_estimate(cm) is not None
-
-        def fail(*args, **kwargs):
-            raise NonConvergent("interpolation residual too large")
-
-        monkeypatch.setattr(winding, "block_det_poly_roots", fail)
-        assert decay_scale_estimate(cm) is None
-
-    def test_unrelated_error_propagates(self, monkeypatch):
-        cm = self._singular_model()
-
-        def broken(*args, **kwargs):
-            raise TypeError("broken fallback")
-
-        monkeypatch.setattr(winding, "block_det_poly_roots", broken)
-        with pytest.raises(TypeError):
-            decay_scale_estimate(cm)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: [
+                cm
+                for d, r in ((2, 1), (2, 2), (2, 3), (4, 1), (4, 2))
+                for cm in random_chiral_ensemble(EnsembleSpec(seed=3, count=30, dim_v=d, hop_range=r))
+                if has_singular_leading_hop(cm)
+            ],
+            lambda: [ssh(1, 2), ssh(2, 1), ssh(0.999, 1), dimerized_plus(), dimerized_trivial()],
+        ],
+        ids=["singular-draws", "fixtures"],
+    )
+    def test_matches_determinant_roots(self, make):
+        # The pencil needs no invertible leading hop; its eigenvalues inside
+        # the circle are the roots of det h_pm and det h_mp there.
+        models = make()
+        assert models
+        for cm in models:
+            roots = np.abs(np.concatenate([winding.block_det_poly_roots(cm, w) for w in ("pm", "mp")]))
+            inside = roots[roots < 1.0]
+            expected = float(inside.max()) if len(inside) else 0.0
+            assert decay_scale_estimate(cm) == pytest.approx(expected, abs=1e-12)
 
     @pytest.mark.parametrize(
         "powers", [[1, 1, -1], [1, 1, -1, 0], [1, -1, -1, 0, 0], [1, 1, 1, 1, -1, -1, -1, 0]]
@@ -300,14 +304,51 @@ class TestEdgeModesCompanion:
     def test_cross_method_agreement_on_ensemble(self):
         models = random_chiral_ensemble(EnsembleSpec(seed=21, count=30, dim_v=2, hop_range=2, gap_floor=0.1))
         for cm in models:
-            if has_singular_leading_hop(cm):
-                continue
             companion = edge_modes_companion(cm)
             truncated = edge_modes_truncated(cm)
             assert (companion.dim_ker_pm, companion.dim_ker_mp) == (
                 truncated.dim_ker_pm,
                 truncated.dim_ker_mp,
             )
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            dimerized_plus,
+            dimerized_minus,
+            dimerized_trivial,
+            lambda: ssh(1, 2),
+            lambda: ssh(2, 1),
+            lambda: ssh(0.999, 1),
+            lambda: ssh(1, 1.3),
+            lambda: defective(0.0),
+            lambda: defective(0.5),
+            lambda: defective(3.0),
+        ],
+        ids=[
+            "dimerized-plus",
+            "dimerized-minus",
+            "dimerized-trivial",
+            "ssh-1-2",
+            "ssh-2-1",
+            "ssh-0.999-1",
+            "ssh-1-1.3",
+            "defective-0",
+            "defective-0.5",
+            "defective-3",
+        ],
+    )
+    def test_pencil_matches_truncated_on_fixtures(self, make):
+        # ssh and the dimerized limits have a singular leading hop.
+        cm = make()
+        companion = edge_modes_companion(cm)
+        truncated = edge_modes_truncated(cm)
+        assert (companion.dim_ker_pm, companion.dim_ker_mp) == (truncated.dim_ker_pm, truncated.dim_ker_mp)
+
+    def test_borderline_eigenvalue_refused(self):
+        # h_pm = 1 + (1 + 1e-7) lambda has its root 1e-7 inside the circle.
+        with pytest.raises(BorderlineEigenvalue):
+            edge_modes_companion(ssh(1, 1 + 1e-7))
 
     def test_general_energy_intersection(self):
         # Away from zero energy inside the gap (-0.25, 0.25), generically no

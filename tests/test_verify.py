@@ -77,9 +77,8 @@ class TestVerifyBec:
         for cm in models:
             case = verify_bec(cm)
             assert case.passed, case_to_dict(case)
-            if not has_singular_leading_hop(cm):
-                assert case.verdicts["route_agreement"].status == "pass"
-                assert case.verdicts["sandwich"].status == "pass"
+            assert case.verdicts["route_agreement"].status == "pass"
+            assert case.verdicts["sandwich"].status == "pass"
 
 
 class TestTwoBandStrong:
