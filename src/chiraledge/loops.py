@@ -45,6 +45,7 @@ from .config import (
 )
 from .errors import CertificateFailed, SpectrumOnCriticalLine, UnbalancedGrading
 from .models import ChiralModel, MatrixLoop, build_model, chiral_split
+from .spectrum import GapReport
 from .winding import winding_of_curve
 
 
@@ -679,6 +680,7 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
     notes and must equal W.  The endpoint is a diagonal of monomials, whose
     edge modes decay at once, so that section is sized at the decay minimum
     of rate 0, 8R cells, rather than the 64-cell floor of the automatic size.
+    Its symbol squares to I on the circle, so its gap (-1, 1) is exact.
     """
     if not cm.balanced:
         raise UnbalancedGrading("deformation needs a balanced graded model")
@@ -700,7 +702,8 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
 
     endpoint_cm = model_from_loop(endpoint, tol)
     cells = _decay_min_cells(0.0, endpoint_cm.hop_range, tol)
-    endpoint_edge = edge_modes_truncated(endpoint_cm, cells=cells, tol=tol)
+    gap = GapReport(True, endpoint.size - 1, -1.0, 1.0, 2.0)
+    endpoint_edge = edge_modes_truncated(endpoint_cm, cells=cells, tol=tol, gap=gap)
     return HomotopyPath(
         stages=builder.stages,
         certificates=certificates,

@@ -458,6 +458,7 @@ class TestEndpointCheck:
         auto = edge_modes_truncated(cm)
         assert short.truncation_cells == cells < auto.truncation_cells
         assert (short.dim_ker_pm, short.dim_ker_mp) == (auto.dim_ker_pm, auto.dim_ker_mp)
+        return short
 
     @pytest.mark.parametrize("powers", [[1, 1, -1, 0], [1, -1, -1, 0, 0], [0]])
     def test_diagonal_monomials(self, powers):
@@ -467,13 +468,16 @@ class TestEndpointCheck:
     def test_deformation_endpoints(self, index, monkeypatch):
         # The endpoint's modes decay at once: full_deformation sizes its
         # section at 8R cells, and only edge_modes_truncated's check of that
-        # size runs a decay estimate.
+        # size runs a decay estimate.  Its bands sit at exactly -1 and 1, so
+        # its gap is passed in, not certified from a band structure.
         cm = deformed_models()[index]
-        estimates, reports = [], []
+        estimates, reports, gaps = [], [], []
         monkeypatch.setattr(halfspace, "decay_scale_estimate", recording(halfspace.decay_scale_estimate, estimates))
         monkeypatch.setattr(halfspace, "edge_modes_truncated", recording(halfspace.edge_modes_truncated, reports))
+        monkeypatch.setattr(halfspace, "certified_gap", recording(halfspace.certified_gap, gaps))
         path = full_deformation(cm)
         monkeypatch.undo()
         assert len(estimates) == 1
+        assert gaps == []
         assert [r.truncation_cells for r in reports] == [8 * model_from_loop(path.endpoint).hop_range]
-        self.check(path.endpoint)
+        assert self.check(path.endpoint).edge_index == path.notes["endpoint_edge_index"]
