@@ -49,7 +49,7 @@ def _check_leading_hop(model: ModelParams, tol: Tolerances) -> np.ndarray:
 
 
 def recurrence_pencil(symbol: MatrixLoop) -> tuple[np.ndarray, np.ndarray]:
-    """Pencil (A, B) stepping sum_j c_j psi_{n+j} = 0, c_j the symbol's planes -R..R, one cell.
+    """Pencil (A, B) advancing sum_j c_j psi_{n+j} = 0 one cell; c_j are the symbol's planes -R..R.
 
     B = diag(I, ..., I, c_R); A has identity blocks on the superdiagonal and
     last block row -c_{-R} .. -c_{R-1}.  A singular c_R gives infinite
