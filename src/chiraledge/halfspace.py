@@ -33,7 +33,6 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .companion import build_companion, recurrence_pencil, spectral_split
@@ -42,6 +41,7 @@ from .errors import (
     AmbiguousKernel,
     BorderlineEigenvalue,
     GapNotCertified,
+    NonConvergent,
     TooFewCells,
     UnbalancedGrading,
 )
@@ -79,6 +79,29 @@ def _section_diagonals(symbol: MatrixLoop, cells: int):
     for j, c in enumerate(symbol.coeffs):
         power = symbol.lowest_power + j
         yield power, c, np.arange(max(0, -power), cells - max(0, power))
+
+
+def _augmented_band(symbol: MatrixLoop, cells: int):
+    """[[0, T], [T*, 0]] of the section T on cells 0..cells-1, in LAPACK band storage.
+
+    The unknowns are ordered cell by cell: row i of cell n of T is unknown
+    2qn + i, column j of cell n is unknown 2qn + q + j.  Block (n, n + p)
+    of T then lies d = 2qp + q + j - i places right of the diagonal, so with
+    R = max(-lowest, highest power) the matrix has kl = ku = q(2R + 2) - 1.
+    Entry (r, c) sits at row 2 kl + r - c of the returned (3 kl + 1, 2 cells q)
+    array; its first kl rows are the fill-in room zgbtrf needs.  Returns
+    (band, kl).
+    """
+    q = symbol.coeffs.shape[1]
+    kl = q * (2 * max(-symbol.lowest_power, symbol.highest_power) + 2) - 1
+    band = np.zeros((3 * kl + 1, 2 * cells * q), dtype=complex)
+    i, j = np.arange(q)[:, None, None], np.arange(q)[None, :, None]
+    for power, c, n in _section_diagonals(symbol, cells):
+        d = 2 * q * power + q + j - i
+        top = 2 * q * n + i
+        band[2 * kl - d, top + d] = c[..., None]
+        band[2 * kl + d, top] = c.conj()[..., None]
+    return band, kl
 
 
 def _dense_section(symbol: MatrixLoop, cells: int) -> np.ndarray:
@@ -172,47 +195,54 @@ def _truncated_kernel_counts(cm: ChiralModel, cells: int, tol: Tolerances):
         small = sigmas < tau
         right, left = vh.conj().T[:, small], u[:, small]
     else:
-        q = cm.dim_plus
         symbol = cm.symbol("pm")
-        data, rows, cols = [], [], []
-        for power, c, n in _section_diagonals(symbol, cells):
-            bi, bj = np.nonzero(c)
-            rows.append((n[:, None] * q + bi).ravel())
-            cols.append(((n + power)[:, None] * q + bj).ravel())
-            data.append(np.tile(c[bi, bj], len(n)))
-        t = scipy.sparse.csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))), shape=(dim, dim)
-        )
-        aug = scipy.sparse.bmat([[None, t], [t.conj().T, None]], format="csc")
         smax = symbol.norm_bound()
         tau = tol.kernel * smax
-        v0 = np.full(2 * dim, 1.0 / math.sqrt(2 * dim), dtype=complex)
-        k = 2 * cm.hop_range * q + 2
+        # The shift is small but not zero: at zero, an exactly singular
+        # section returned values that are not singular values of T.
+        shift = 1e-9 * smax
+        band, kl = _augmented_band(symbol, cells)
+        factor = band.copy()
+        factor[2 * kl] = -shift
+        lu, piv, info = scipy.linalg.lapack.zgbtrf(factor, kl, kl, overwrite_ab=True)
+        if info > 0:
+            raise NonConvergent(f"augmented section minus shift {shift:.3e} has a zero pivot")
+        n = 2 * dim
+        aug = scipy.sparse.linalg.LinearOperator(
+            (n, n), lambda x: scipy.linalg.blas.zgbmv(n, n, kl, kl, 1.0, band[kl:], x), dtype=complex
+        )
+        solve = scipy.sparse.linalg.LinearOperator(
+            (n, n), lambda x: scipy.linalg.lapack.zgbtrs(lu, kl, kl, x, piv)[0], dtype=complex
+        )
+        v0 = np.full(n, 1.0 / math.sqrt(n), dtype=complex)
+        k = 2 * cm.hop_range * cm.dim_plus + 2
         while True:
-            k = min(k, 2 * dim - 2)
-            # The shift is small but not zero: at zero, an exactly singular
-            # section returned values that are not singular values of T.
+            k = min(k, n - 2)
             # tol bounds the relative error of the returned Ritz values.  Those
             # inside the band reach rounding level within a few steps either
             # way; those beyond it need only show that they lie past 10 tau.
             # They sit at the edge of a dense continuum: converging them to
             # machine precision took 14 s on ssh(1, 2) at 1500 cells, this
             # tol 0.07 s.
-            vals, vecs = scipy.sparse.linalg.eigsh(
-                aug, k=k, sigma=1e-9 * smax, which="LM", v0=v0, tol=1e-3
-            )
+            try:
+                vals, vecs = scipy.sparse.linalg.eigsh(
+                    aug, k=k, sigma=shift, which="LM", v0=v0, tol=1e-3, OPinv=solve
+                )
+            except scipy.sparse.linalg.ArpackNoConvergence as exc:
+                raise NonConvergent(f"ARPACK did not converge on the augmented section: {exc}") from exc
             # Every eigenvalue inside (-10 tau, 10 tau) is present once the
             # returned ones reach past that band on both sides.
-            if (vals.min() <= -10 * tau and vals.max() >= 10 * tau) or k == 2 * dim - 2:
+            if (vals.min() <= -10 * tau and vals.max() >= 10 * tau) or k == n - 2:
                 break
             k *= 2
-        # Eigenvalues come in +-sigma pairs; the bottom halves of the small
-        # ones' eigenvectors span the right singular vectors, the top halves
-        # the left ones.
+        # Eigenvalues come in +-sigma pairs; the bottom halves (the last q
+        # slots of each cell) of the small ones' eigenvectors span the right
+        # singular vectors, the top halves the left ones.
         small = np.abs(vals) < tau
         m = int(small.sum()) // 2
-        right = np.linalg.svd(vecs[dim:, small], full_matrices=False)[0][:, :m]
-        left = np.linalg.svd(vecs[:dim, small], full_matrices=False)[0][:, :m]
+        halves = vecs[:, small].reshape(cells, 2, cm.dim_plus, -1)
+        left = np.linalg.svd(halves[:, 0].reshape(dim, -1), full_matrices=False)[0][:, :m]
+        right = np.linalg.svd(halves[:, 1].reshape(dim, -1), full_matrices=False)[0][:, :m]
         sigmas = np.sort(np.abs(vals))[1::2][::-1]
     near = sigmas[sigmas < 10 * tau]
     pm, pm_vecs = _left_localized(right, cells)

@@ -1,6 +1,8 @@
 import json
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from chiraledge import verify
 from chiraledge.cli import main
@@ -133,6 +135,38 @@ class TestEdgeCommand:
         )
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "AmbiguousKernel"
+
+
+def no_arpack_convergence(*args, **kwargs):
+    raise scipy.sparse.linalg.ArpackNoConvergence("ARPACK error -1: No convergence", np.array([]), np.array([]))
+
+
+class TestArpackNoConvergence:
+    # ssh(0.9, 1) decays as 0.9^n: 161 cells, above the dense switch.
+    def test_edge_exits_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_arpack_convergence)
+        code, out, err = run(capsys, "edge", "--fixture", "ssh:t1=0.9,t2=1")
+        assert code == 1 and out == ""
+        assert json.loads(err.strip().splitlines()[-1])["error"] == "NonConvergent"
+
+    def test_phase_diagram_cell_left_empty(self, capsys, monkeypatch, tmp_path):
+        family = tmp_path / "fam.json"
+        family.write_text(
+            json.dumps(
+                {
+                    "family": "ssh",
+                    "param1": {"name": "t1", "min": 0.9, "max": 0.9},
+                    "param2": {"name": "t2", "min": 1.0, "max": 2.0},
+                }
+            )
+        )
+        out_csv = tmp_path / "pd.csv"
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_arpack_convergence)
+        code, _, _ = run(capsys, "phase-diagram", str(family), "--grid", "1x2", "--out", str(out_csv))
+        assert code == 0
+        rows = [l.split(",") for l in out_csv.read_text().splitlines() if not l.startswith("#")][1:]
+        # t2 = 2 decays as 0.45^n and stays on the dense path.
+        assert [(w, edge) for _, _, w, edge, _ in rows] == [("1", ""), ("1", "1")]
 
 
 class TestScanCommand:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 import scipy.sparse.linalg
 from hypothesis import assume, example, given, strategies as st
 
@@ -10,6 +11,7 @@ from chiraledge.errors import (
     AmbiguousKernel,
     BorderlineEigenvalue,
     GapNotCertified,
+    NonConvergent,
     SingularLeadingHop,
     TooFewCells,
 )
@@ -210,8 +212,10 @@ class TestEdgeModesTruncated:
             lambda: ssh(1.0, 1.3),
             lambda: defective(theta=0.5),
             lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=4, hop_range=2))[2],
+            lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=2, hop_range=3))[1],
+            lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=6, hop_range=1))[0],
         ],
-        ids=["ssh", "defective", "random-4-2"],
+        ids=["ssh", "defective", "random-4-2", "random-2-3", "random-6-1"],
     )
     def test_sparse_path_matches_dense(self, make):
         # Both branches on the same sections: the automatic size, which is at
@@ -286,6 +290,65 @@ class TestAugmentedKernelCount:
         dense, sparse = both_branches(ssh(0.97, 1.0), 538)
         assert len(dense[4]) == len(sparse[4]) == 1
         assert sparse[4][0] == pytest.approx(dense[4][0], rel=1e-6)
+
+
+def random_loop(rng, lowest, planes, q):
+    return MatrixLoop(lowest, rng.normal(size=(planes, q, q)) + 1j * rng.normal(size=(planes, q, q)))
+
+
+def singular_draw_symbol():
+    """h_pm of the first (4, 2) ensemble draw of seed 3 with a singular leading hop."""
+    cms = random_chiral_ensemble(EnsembleSpec(seed=3, count=30, dim_v=4, hop_range=2))
+    return next(cm for cm in cms if has_singular_leading_hop(cm)).symbol("pm")
+
+
+class TestAugmentedBand:
+    def test_zero_pivot_refused(self, monkeypatch):
+        # ARPACK's refusal is tested through the CLI in test_cli.py.
+        zgbtrf = scipy.linalg.lapack.zgbtrf
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf", lambda *a, **k: zgbtrf(*a, **k)[:2] + (1,))
+        with pytest.raises(NonConvergent):
+            halfspace._truncated_kernel_counts(ssh(0.9, 1.0), 161, DEFAULT_TOL)
+
+    @staticmethod
+    def expand(band, kl, dim):
+        """The band storage as a dense matrix, unknowns still in cell-by-cell order."""
+        n = 2 * dim
+        dense = np.zeros((n, n), dtype=complex)
+        for r in range(n):
+            for c in range(max(0, r - kl), min(n, r + kl + 1)):
+                dense[r, c] = band[2 * kl + r - c, c]
+        return dense
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: random_loop(rng, 0, 3, 2),
+            lambda rng: random_loop(rng, -3, 2, 2),
+            lambda rng: random_loop(rng, 1, 2, 1),
+            lambda rng: model_from_loop(random_loop(rng, -1, 4, 2)).symbol("pm"),
+            lambda rng: singular_draw_symbol(),
+            lambda rng: random_loop(rng, -3, 7, 3),
+        ],
+        ids=["powers-0..2", "powers-3..-2", "powers-1..2", "model-powers-1..2", "singular-leading-hop", "q3-R3"],
+    )
+    def test_band_is_the_augmented_section(self, make):
+        symbol = make(np.random.default_rng(7))
+        q = symbol.coeffs.shape[1]
+        cells = 4 * max(1, -symbol.lowest_power, symbol.highest_power) + 3
+        dim = cells * q
+        band, kl = halfspace._augmented_band(symbol, cells)
+        assert kl == q * (2 * max(-symbol.lowest_power, symbol.highest_power) + 2) - 1
+        assert band.shape == (3 * kl + 1, 2 * dim)
+        assert not band[:kl].any()
+        # Unknown a of [T rows; T columns] sits at slot 2qn + i (rows) or
+        # 2qn + q + j (columns) of the cell-by-cell order.
+        cell, comp = np.divmod(np.arange(dim), q)
+        order = np.concatenate([2 * q * cell + comp, 2 * q * cell + q + comp])
+        t = halfspace._dense_section(symbol, cells)
+        aug = np.block([[np.zeros_like(t), t], [t.conj().T, np.zeros_like(t)]])
+        dense = self.expand(band, kl, dim)
+        assert np.array_equal(dense[np.ix_(order, order)], aug)
 
 
 class TestEdgeModesCompanion:
