@@ -91,7 +91,8 @@ class Stage:
     Up to a permutation the matrix is block diagonal: moving(t, lams) and a
     fixed rest, whose (sigma_min, sigma_max, det) per point fixed(lams) gives;
     by default the whole matrix moves.  unitary_in_t: t enters only through
-    unitary factors of t-independent determinant.
+    unitary factors of t-independent determinant.  det_fixed_in_t: the
+    determinant is the same for every t, while the singular values move.
     """
 
     description: str
@@ -102,6 +103,7 @@ class Stage:
     moving: object = None
     fixed: object = None
     unitary_in_t: bool = False
+    det_fixed_in_t: bool = False
 
     def __post_init__(self):
         if self.moving is None:
@@ -213,10 +215,22 @@ class _Builder:
 
         return ev, fixed
 
-    def add_stage(self, description, t_start, t_end, sub_idx, sub_eval, unitary_in_t=False):
+    def add_stage(
+        self, description, t_start, t_end, sub_idx, sub_eval, unitary_in_t=False, det_fixed_in_t=False
+    ):
         ev, fixed = self._parts(sub_idx, sub_eval)
         self.stages.append(
-            Stage(description, float(t_start), float(t_end), ev, self.n, sub_eval, fixed, unitary_in_t)
+            Stage(
+                description,
+                float(t_start),
+                float(t_end),
+                ev,
+                self.n,
+                sub_eval,
+                fixed,
+                unitary_in_t,
+                det_fixed_in_t,
+            )
         )
 
     def stabilize(self, extra: int) -> list:
@@ -298,7 +312,9 @@ def certify_path(
     Singular values are those of the stage's moving block at each grid point
     and of its fixed rest, taken once per momentum grid; the determinant is
     their product.  A stage constant in t or unitary_in_t is certified and
-    wound at t_start alone, so it is exact in t and sampled in lambda.
+    wound at t_start alone, so it is exact in t and sampled in lambda.  A
+    det_fixed_in_t stage keeps its certificate t-grid and is wound at t_start
+    alone.
 
     Returns (certificates, windings, grids), grids holding each stage's final
     certificate grid (nt, nk), nt = 1 for a stage certified at one t.
@@ -311,7 +327,11 @@ def certify_path(
     grids = []
     for stage in stages:
         one_t = stage.t_start == stage.t_end or stage.unitary_in_t
-        winding_ts = [stage.t_start] if one_t else np.linspace(stage.t_start, stage.t_end, 5)
+        winding_ts = (
+            [stage.t_start]
+            if one_t or stage.det_fixed_in_t
+            else np.linspace(stage.t_start, stage.t_end, 5)
+        )
         wanted = {float(t) for t in winding_ts}
         shared = {}  # t -> (grid, det) from the first certificate grid holding t
         nt, nk = grid_t, grid_k
@@ -527,7 +547,8 @@ def _linearize_stages(builder: _Builder, planes: np.ndarray):
         )
         current = _per_grid(lambda lams, ev=ev: ev(0.5 * np.pi, lams))
 
-    # Row operations reinstate the Horner partials on block row 0.
+    # Row operations reinstate the Horner partials on block row 0.  Their
+    # unipotent factor has determinant 1, so det does not move with t.
     h_k = _horner_partials(planes)
 
     def row_ops(t, lams, prev=current):
@@ -537,10 +558,13 @@ def _linearize_stages(builder: _Builder, planes: np.ndarray):
             left[:, :m, kk * m : (kk + 1) * m] = -t * h_k(kk, lams)
         return left @ prev(lams)
 
-    builder.add_stage("linearize: unipotent row operations", 0.0, 1.0, sub_idx, row_ops)
+    builder.add_stage(
+        "linearize: unipotent row operations", 0.0, 1.0, sub_idx, row_ops, det_fixed_in_t=True
+    )
     current = _per_grid(lambda lams, ev=row_ops: ev(1.0, lams))
 
-    # Column operations, highest block first, complete the pencil.
+    # Column operations, highest block first, complete the pencil.  They are
+    # unipotent as well.
     for kk in range(d - 1, 0, -1):
 
         def col_op(t, lams, prev=current, kk=kk):
@@ -557,6 +581,7 @@ def _linearize_stages(builder: _Builder, planes: np.ndarray):
             1.0,
             sub_idx,
             col_op,
+            det_fixed_in_t=True,
         )
         current = _per_grid(lambda lams, ev=col_op: ev(1.0, lams))
 
@@ -622,7 +647,15 @@ def _projectionize_stages(builder: _Builder, c_mat: np.ndarray, d_mat: np.ndarra
         q_t = st @ j_diag @ np.linalg.inv(st)
         return np.eye(s)[None, :, :] + q_t[None, :, :] * (lams[:, None, None] - 1.0)
 
-    builder.add_stage("projection: straighten Q to a coordinate projection", 0.0, 1.0, sub_idx, straighten)
+    # det(1 + Q_t (lambda - 1)) = lambda^rank for every projection Q_t.
+    builder.add_stage(
+        "projection: straighten Q to a coordinate projection",
+        0.0,
+        1.0,
+        sub_idx,
+        straighten,
+        det_fixed_in_t=True,
+    )
 
     builder.dissolve_active([1] * rank + [0] * (s - rank))
     return rank

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from chiraledge import halfspace
+from chiraledge import halfspace, loops
 from chiraledge.config import CERT_GRID_CAP, CERT_GRID_K, CERT_GRID_T, DEFAULT_TOL
 from chiraledge.errors import CertificateFailed, SpectrumOnCriticalLine
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
@@ -373,6 +373,17 @@ class TestCertifyPath:
             assert {(i, "fixed") for i in range(len(stages))} <= set(calls)
             assert max(calls.values()) == 1
 
+    def test_det_fixed_in_t_stages_wound_once(self, monkeypatch):
+        paths = [full_deformation(cm).stages for cm in certified_symbols()]
+        calls = []
+        monkeypatch.setattr(loops, "winding_of_curve", recording(winding_of_curve, calls))
+        for stages in paths:
+            certify_path(stages)
+        stages = [s for path in paths for s in path]
+        once = [s.t_start == s.t_end or s.unitary_in_t or s.det_fixed_in_t for s in stages]
+        assert sum(s.det_fixed_in_t for s in stages) > 0
+        assert len(calls) == sum(1 if o else 5 for o in once)
+
 
 def deformation_stages():
     """Every stage of full_deformation on certified_symbols() and deformed_models()."""
@@ -426,6 +437,19 @@ class TestStageBlocks:
         # The check would catch a t-dependent stage marked by mistake.
         row_ops = [s for s in stages if s.description == "linearize: unipotent row operations"]
         assert row_ops and not any(self.constant_in_t(s) for s in row_ops)
+
+    def test_det_fixed_in_t_stages_keep_their_determinant(self):
+        marked = [s for s in deformation_stages() if s.det_fixed_in_t]
+        assert {s.description.split(" ")[1] for s in marked} == {"unipotent", "straighten"}
+        for stage in marked:
+            ts, lams = grid_points(stage)
+            start = stage.evaluate(stage.t_start, lams)
+            det0, sv0 = np.linalg.det(start), np.linalg.svd(start, compute_uv=False)
+            for t in ts:
+                full = stage.evaluate(t, lams)
+                sv = np.linalg.svd(full, compute_uv=False)
+                bound = (det_bound(sv0) + det_bound(sv)) * np.abs(det0)
+                assert np.all(np.abs(np.linalg.det(full) - det0) <= bound), stage.description
 
 
 def deformed_models():
