@@ -52,13 +52,16 @@ CERT_GRID_K = 128
 CERT_GRID_CAP = 2**12
 
 # Half-space truncation sizes.  Dense SVD up to DENSE_SVD_MAX matrix dimension;
-# beyond that the kernel count takes one sparse shift-invert eigensolve of the
-# augmented matrix [[0, T], [T*, 0]].  The switch sits at the measured
-# crossover: per section, mean over ssh(0.9, 1), ssh(1, 0.9) and three (2, 2)
-# and three (4, 2) random draws, fastest of 3 calls, two runs, one BLAS thread:
-#   dimension   128      160      192       256        384      768
-#   dense SVD   4.6-5.5  8.2-9.6  14.3-14.5 26.7-31.6  78-88    658-739 ms
-#   augmented   5.3-7.3  6.7-8.6  8.2-9.2   10.0-12.7  18-19    36-47 ms
+# beyond that the kernel count takes one shift-invert eigensolve of the
+# augmented matrix [[0, T], [T*, 0]], factored once as a band matrix.  The
+# switch sits at the measured crossover: per section, mean over ssh(0.9, 1),
+# ssh(1, 0.9) and three (2, 2) and three (4, 2) random draws (seed 7), fastest
+# of 3 calls, two runs, one BLAS thread, 2 vCPU:
+#   dimension  96       128      144      160      192       256       384     768
+#   dense SVD  2.3-2.3  4.8-5.0  6.0-7.3  7.9-9.9  11.8-13.5 24.6-27.0 75-80   667-668 ms
+#   augmented  3.1-4.8  3.7-5.7  3.5-6.2  3.7-6.7  4.0-7.1   6.2-9.2   9.3-15  28-39 ms
+# Dense wins at 96 and the two runs split at 128-144, so the switch stays;
+# perfbench places its ensemble slots on either side of it.
 # The kernel threshold scale smax is the section's largest singular value on
 # the dense path and the symbol's MatrixLoop.norm_bound() on the sparse path;
 # both are valid because a finite section's norm is at most the sup of

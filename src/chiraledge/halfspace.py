@@ -23,7 +23,10 @@ Sections above config.DENSE_SVD_MAX skip the O(n^3) SVD: one shift-invert
 eigensolve of the augmented Hermitian matrix [[0, T], [T*, 0]], with
 eigenvalues +-sigma_i and eigenvectors (u_i, +-v_i) / sqrt(2), gives the
 small singular values.  Unlike T*T it does not square sigma (ssh(0.97, 1) at
-875 cells: 1.573e-13, where T*T gave 1.65e-8).
+875 cells: 1.573e-13, where T*T gave 1.65e-8).  With its unknowns ordered
+cell by cell the augmented matrix is banded, kl = ku = q(2R + 2) - 1
+(_augmented_band); it is factored once by LAPACK's band LU, and every
+shift-invert solve is a band triangular solve.
 """
 
 from __future__ import annotations
@@ -208,6 +211,7 @@ def _truncated_kernel_counts(cm: ChiralModel, cells: int, tol: Tolerances):
         if info > 0:
             raise NonConvergent(f"augmented section minus shift {shift:.3e} has a zero pivot")
         n = 2 * dim
+        # Shift-invert mode applies only OPinv; aug is the matrix itself.
         aug = scipy.sparse.linalg.LinearOperator(
             (n, n), lambda x: scipy.linalg.blas.zgbmv(n, n, kl, kl, 1.0, band[kl:], x), dtype=complex
         )

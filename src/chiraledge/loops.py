@@ -215,23 +215,10 @@ class _Builder:
 
         return ev, fixed
 
-    def add_stage(
-        self, description, t_start, t_end, sub_idx, sub_eval, unitary_in_t=False, det_fixed_in_t=False
-    ):
+    def add_stage(self, description, t_start, t_end, sub_idx, sub_eval, **marks):
+        """marks: unitary_in_t, det_fixed_in_t."""
         ev, fixed = self._parts(sub_idx, sub_eval)
-        self.stages.append(
-            Stage(
-                description,
-                float(t_start),
-                float(t_end),
-                ev,
-                self.n,
-                sub_eval,
-                fixed,
-                unitary_in_t,
-                det_fixed_in_t,
-            )
-        )
+        self.stages.append(Stage(description, float(t_start), float(t_end), ev, self.n, sub_eval, fixed, **marks))
 
     def stabilize(self, extra: int) -> list:
         new = list(range(self.n, self.n + extra))
@@ -327,11 +314,8 @@ def certify_path(
     grids = []
     for stage in stages:
         one_t = stage.t_start == stage.t_end or stage.unitary_in_t
-        winding_ts = (
-            [stage.t_start]
-            if one_t or stage.det_fixed_in_t
-            else np.linspace(stage.t_start, stage.t_end, 5)
-        )
+        one_winding = one_t or stage.det_fixed_in_t
+        winding_ts = [stage.t_start] if one_winding else np.linspace(stage.t_start, stage.t_end, 5)
         wanted = {float(t) for t in winding_ts}
         shared = {}  # t -> (grid, det) from the first certificate grid holding t
         nt, nk = grid_t, grid_k

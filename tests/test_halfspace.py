@@ -330,7 +330,7 @@ class TestAugmentedBand:
             lambda rng: singular_draw_symbol(),
             lambda rng: random_loop(rng, -3, 7, 3),
         ],
-        ids=["powers-0..2", "powers-3..-2", "powers-1..2", "model-powers-1..2", "singular-leading-hop", "q3-R3"],
+        ids=["powers-0-2", "powers-m3-m2", "powers-1-2", "model-powers-m1-2", "singular-leading-hop", "q3-R3"],
     )
     def test_band_is_the_augmented_section(self, make):
         symbol = make(np.random.default_rng(7))
