@@ -19,10 +19,15 @@ diag(lambda, ..., lambda^-1, ..., 1, ...) in four moves:
 
 Every stage records an invertibility certificate (min singular value on its
 parameter-by-momentum grid) and the winding of its determinant, which must be
-one constant along the whole path.  certify_path takes an SVD of the block a
-stage moves at each (t, momentum) point and of the fixed rest once per
+one constant along the whole path.  certify_path evaluates the block a
+stage moves at each (t, momentum) point and the fixed rest once per
 momentum grid, and hands the grid's determinants to the winding check, whose
-128 initial samples are that grid.  The rotation stages (factor and split
+128 initial samples are that grid.  The least singular value of the moving
+blocks at one t comes from a pruned SVD: a batched inverse bounds each
+block's sigma_min below by 1/||M^-1||_F, and only blocks whose bound does not
+exceed the running minimum are decomposed, so the certificate is the full
+SVD's float.  sigma_max is bounded above by the largest Frobenius norm,
+which only makes the 1e-9 test stricter.  The rotation stages (factor and split
 rotations, the linearization's move and cyclic rotations, sort swaps) move
 only through unitary factors: they are certified at t_start alone, exact in
 t.  Momentum is sampled for every stage.  A stage that starts from the end
@@ -287,6 +292,32 @@ class _Builder:
         self.active = None
 
 
+def _least_singular_value(blocks: np.ndarray, cutoff: float = np.inf) -> float:
+    """min(cutoff, least singular value of a (K, n, n) stack), bit for bit.
+
+    lower = 1/||M^-1||_F from one batched inverse satisfies
+    lower <= sigma_min <= sqrt(n) lower.  The block of smallest lower is
+    decomposed first, and c = min(cutoff, its sigma_min); a block whose lower
+    exceeds c (1 + 1e-6) cannot hold a smaller value and is dropped before
+    one SVD of the rest.  The slack covers the bound's rounding, at most
+    n kappa eps, for kappa below 1e9.  An exactly singular block makes the
+    inverse fail, and then every block is decomposed; so is every block whose
+    ||M^-1||_F is below 1e-150, where its squared entries may underflow.
+    """
+    try:
+        inv_norm = np.linalg.norm(np.linalg.inv(blocks), axis=(1, 2))
+    except np.linalg.LinAlgError:
+        return min(cutoff, float(np.linalg.svd(blocks, compute_uv=False)[:, -1].min()))
+    anchor = int(np.argmax(inv_norm))
+    c = min(cutoff, float(np.linalg.svd(blocks[anchor : anchor + 1], compute_uv=False)[0, -1]))
+    # Drop where lower = 1/inv_norm > c (1 + 1e-6); NaN bounds stay kept.
+    kept = ~(inv_norm * (c * (1 + 1e-6)) < 1.0) | (inv_norm < 1e-150)
+    kept[anchor] = False
+    if not kept.any():
+        return c
+    return min(c, float(np.linalg.svd(blocks[kept], compute_uv=False)[:, -1].min()))
+
+
 def certify_path(
     stages,
     tol: Tolerances = DEFAULT_TOL,
@@ -298,16 +329,20 @@ def certify_path(
 
     Singular values are those of the stage's moving block at each grid point
     and of its fixed rest, taken once per momentum grid; the determinant is
-    their product.  A stage constant in t or unitary_in_t is certified and
-    wound at t_start alone, so it is exact in t and sampled in lambda.  A
-    det_fixed_in_t stage keeps its certificate t-grid and is wound at t_start
-    alone.
+    their product.  At each t, _least_singular_value takes an SVD only of
+    the blocks whose inverse-norm bound does not rule them out against the
+    running minimum, and returns the full SVD's minimum bit for bit.  The
+    moving block's sigma_max is bounded above by its Frobenius norm.  A
+    stage constant in t or unitary_in_t is certified and wound at t_start
+    alone, so it is exact in t and sampled in lambda.  A det_fixed_in_t
+    stage keeps its certificate t-grid and is wound at t_start alone.
 
     Returns (certificates, windings, grids), grids holding each stage's final
     certificate grid (nt, nk), nt = 1 for a stage certified at one t.
     Raises CertificateFailed when a stage's minimum singular value on its
-    refined grid falls below 1e-9 of its largest, or when the winding of the
-    determinant changes within or across stages.
+    refined grid falls below 1e-9 of that bound on its largest (wherever the
+    exact largest would refuse, and possibly more), or when the winding of
+    the determinant changes within or across stages.
     """
     certificates = []
     windings = []
@@ -326,9 +361,8 @@ def certify_path(
             mn, mx = float(np.min(lo)), float(np.max(hi))
             for t in map(float, ts):
                 values = stage.moving(t, lams)
-                sv = np.linalg.svd(values, compute_uv=False)
-                mn = min(mn, float(sv[:, -1].min()))
-                mx = max(mx, float(sv[:, 0].max()))
+                mn = _least_singular_value(values, mn)
+                mx = max(mx, float(np.linalg.norm(values, axis=(1, 2)).max()))
                 if t in wanted and t not in shared:
                     shared[t] = (lams, np.linalg.det(values) * fixed_det)
             if mn > 1e-9 * mx:

@@ -12,6 +12,7 @@ from chiraledge.loops import (
     Stage,
     _Builder,
     _factor_stages,
+    _least_singular_value,
     _projectionize_stages,
     certify_path,
     companion_pencil,
@@ -373,6 +374,65 @@ class TestCertifyPath:
             assert {(i, "fixed") for i in range(len(stages))} <= set(calls)
             assert max(calls.values()) == 1
 
+    def test_certificates_are_the_exact_svd_minimum(self):
+        # The pruned SVD drops only blocks that cannot hold the minimum, so
+        # each certificate is min(lo, every moving block's least singular
+        # value) on the stage's final grid, to the last bit.
+        for cm in certified_symbols() + deformed_models():
+            stages = full_deformation(cm).stages
+            certificates, _, grids = certify_path(stages)
+            for stage, cert, (nt, nk) in zip(stages, certificates, grids):
+                ts = [stage.t_start] if nt == 1 else np.linspace(stage.t_start, stage.t_end, nt)
+                lams = np.exp(2j * np.pi * np.arange(nk) / nk)
+                lo = stage.fixed(lams)[0]
+                svd_min = min(
+                    float(np.linalg.svd(stage.moving(float(t), lams), compute_uv=False)[:, -1].min()) for t in ts
+                )
+                assert cert == min(float(np.min(lo)), svd_min), stage.description
+
+    def test_svd_only_where_the_bound_cannot_rule_out(self, monkeypatch):
+        # Every grid point gets a batched inverse; at most 35% of them an SVD
+        # (22% when measured).  Nothing here refines, so each stage's grid
+        # points are those of its final grid.
+        paths = [full_deformation(cm).stages for cm in certified_symbols()]
+        decomposed = []
+        svd = np.linalg.svd
+
+        def counted(a, *args, **kwargs):
+            decomposed.append(int(np.prod(np.shape(a)[:-2])))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        points = 0
+        for stages in paths:
+            _, _, grids = certify_path(stages)
+            points += sum(nt * nk for nt, nk in grids)
+        monkeypatch.undo()
+        assert 0 < sum(decomposed) <= 0.35 * points
+
+    def test_singular_stage_refused_at_the_grid_cap(self):
+        # Exactly 0 at t_start on every grid: the batched inverse fails, every
+        # block is decomposed, and the grid refines to its cap.
+        def evaluate(t, lams):
+            return (t * lams)[:, None, None]
+
+        with pytest.raises(CertificateFailed, match="min singular value 0.000e"):
+            certify_path([Stage("zero at t_start", 0.0, 1.0, evaluate, 1)], grid_cap=36)
+
+    def test_sigma_max_bound_is_stricter(self):
+        # sigma_min / sigma_max = 1.5e-9 passes the exact rule, but the
+        # Frobenius norm sqrt(3) bounds sigma_max from above, and
+        # 1.5e-9 < 1e-9 sqrt(3): the stage refines to the cap and is refused.
+        diag = np.diag([1.0, 1.0, 1.0, 1.5e-9]).astype(complex)
+
+        def evaluate(t, lams):
+            return np.broadcast_to(diag, (len(lams), 4, 4)).copy()
+
+        stage = Stage("diag(1, 1, 1, 1.5e-9)", 0.0, 1.0, evaluate, 4)
+        assert reference_certify_path([stage], grid_cap=36) == ([1.5e-9], [0])
+        with pytest.raises(CertificateFailed, match="min singular value 1.500e-09"):
+            certify_path([stage], grid_cap=36)
+
     def test_det_fixed_in_t_stages_wound_once(self, monkeypatch):
         paths = [full_deformation(cm).stages for cm in certified_symbols()]
         calls = []
@@ -383,6 +443,66 @@ class TestCertifyPath:
         once = [s.t_start == s.t_end or s.unitary_in_t or s.det_fixed_in_t for s in stages]
         assert sum(s.det_fixed_in_t for s in stages) > 0
         assert len(calls) == sum(1 if o else 5 for o in once)
+
+
+def unitaries(rng, k: int, n: int) -> np.ndarray:
+    z = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    return np.linalg.qr(z)[0]
+
+
+def with_singular_values(rng, sv: np.ndarray) -> np.ndarray:
+    """A stack of blocks U diag(sv[i]) V with random unitaries U and V."""
+    k, n = sv.shape
+    return (unitaries(rng, k, n) * sv[:, None, :]) @ unitaries(rng, k, n)
+
+
+def adversarial_stack(kind: str, n: int, rng) -> np.ndarray:
+    k = 32
+    sv = np.ones((k, n))
+    if kind == "scaled unitaries":
+        # Every singular value of every block within 1e-15 of 0.7.
+        sv = 0.7 * (1 + 1e-15 * rng.random((k, n)))
+    elif kind == "near-equal minima":
+        sv[:, -1] = 1e-3 * (1 + 1e-12 * rng.random(k))
+    elif kind == "kappa to 1e8":
+        sv[:, -1] = 10.0 ** (-8 * rng.random(k))
+    elif kind == "huge scale":
+        # ||M^-1||_F squares to underflow: the bound reads no entry at all.
+        sv = 1e200 * (1 + rng.random((k, n)))
+    stack = with_singular_values(rng, np.sort(sv, axis=1)[:, ::-1])
+    if kind == "exactly singular":
+        stack[rng.integers(k)] = [[1.0 if i == j == 0 else 0.0 for j in range(n)] for i in range(n)]
+    return stack
+
+
+class TestLeastSingularValue:
+    """_least_singular_value(blocks, cutoff) == min(cutoff, the full SVD minimum), bit for bit."""
+
+    @staticmethod
+    def full_minimum(blocks, cutoff):
+        return min(cutoff, float(np.linalg.svd(blocks, compute_uv=False)[:, -1].min()))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "kind", ["scaled unitaries", "near-equal minima", "kappa to 1e8", "huge scale", "exactly singular"]
+    )
+    def test_equals_full_svd_minimum(self, kind, n):
+        rng = np.random.default_rng([n, len(kind)])
+        for _ in range(25):
+            stack = adversarial_stack(kind, n, rng)
+            exact = self.full_minimum(stack, np.inf)
+            for cutoff in (np.inf, 2 * exact, exact, 0.5 * exact):
+                assert _least_singular_value(stack, cutoff) == self.full_minimum(stack, cutoff)
+
+    def test_scalar_blocks(self):
+        # 1 x 1 blocks, many of one modulus, as the monomial channels give.
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            moduli = rng.choice([0.5, 1.0, 1.0 + 1e-15, 2.0], size=64)
+            stack = (moduli * np.exp(2j * np.pi * rng.random(64)))[:, None, None]
+            exact = self.full_minimum(stack, np.inf)
+            for cutoff in (np.inf, exact, 0.5 * exact):
+                assert _least_singular_value(stack, cutoff) == self.full_minimum(stack, cutoff)
 
 
 def deformation_stages():
