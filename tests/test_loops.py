@@ -391,9 +391,10 @@ class TestCertifyPath:
                 assert cert == min(float(np.min(lo)), svd_min), stage.description
 
     def test_svd_only_where_the_bound_cannot_rule_out(self, monkeypatch):
-        # Every grid point gets a batched inverse; at most 35% of them an SVD
-        # (22% when measured).  Nothing here refines, so each stage's grid
-        # points are those of its final grid.
+        # Every grid point gets a batched inverse; at most 35% of them an SVD.
+        # Measured: 31.3%, 26.9% in the pruned SVD and 4.4% in the fixed
+        # rests' once-per-grid SVDs.  Nothing here refines, so each stage's
+        # grid points are those of its final grid.
         paths = [full_deformation(cm).stages for cm in certified_symbols()]
         decomposed = []
         svd = np.linalg.svd
@@ -471,7 +472,8 @@ def adversarial_stack(kind: str, n: int, rng) -> np.ndarray:
         sv = 1e200 * (1 + rng.random((k, n)))
     stack = with_singular_values(rng, np.sort(sv, axis=1)[:, ::-1])
     if kind == "exactly singular":
-        stack[rng.integers(k)] = [[1.0 if i == j == 0 else 0.0 for j in range(n)] for i in range(n)]
+        # A zero row stays zero under elimination: the LU pivot is exactly 0.
+        stack[rng.integers(k), -1, :] = 0.0
     return stack
 
 
