@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg.lapack
@@ -214,13 +216,16 @@ class TestEdgeModesTruncated:
             lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=4, hop_range=2))[2],
             lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=2, hop_range=3))[1],
             lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=6, hop_range=1))[0],
+            lambda: ssh(0.97, 1.0),
         ],
-        ids=["ssh", "defective", "random-4-2", "random-2-3", "random-6-1"],
+        ids=["ssh", "defective", "random-4-2", "random-2-3", "random-6-1", "ssh-slow-decay"],
     )
     def test_sparse_path_matches_dense(self, make):
         # Both branches on the same sections: the automatic size, which is at
-        # least the decay minimum, and twice that, where the kernel singular
-        # values are zero to rounding.
+        # least the decay minimum (538 cells for ssh(0.97, 1)), and twice
+        # that, where the kernel singular values are zero to rounding.  The
+        # left-localized kernel subspaces agree to rounding: two subspace
+        # iteration steps instead of three left a principal angle of 2e-7.
         cm = make()
         cells = edge_modes_truncated(cm).truncation_cells
         for size in (cells, 2 * cells):
@@ -231,22 +236,34 @@ class TestEdgeModesTruncated:
                 sparse[5],
                 len(sparse[4]),
             )
+            assert largest_angle_sine(dense[2], sparse[2]) <= 1e-12
+            assert largest_angle_sine(dense[3], sparse[3]) <= 1e-12
 
     def test_slow_decay_needs_no_largest_eigenvalue_solve(self, monkeypatch):
         # smax must come from the symbol's norm bound: an ARPACK largest-
         # eigenvalue solve on this 3224-cell section needs ~47k matvecs (~9.5 s).
+        # The small singular values come from the band LU's own subspace
+        # iteration, so no sparse eigensolver runs at all.
         calls = []
-        eigsh = scipy.sparse.linalg.eigsh
+        for name in ("eigsh", "eigs", "svds", "lobpcg"):
 
-        def recording_eigsh(*args, **kwargs):
-            calls.append(kwargs.get("sigma"))
-            return eigsh(*args, **kwargs)
+            def recording(*args, name=name, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"scipy.sparse.linalg.{name} called")
 
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", recording_eigsh)
+            monkeypatch.setattr(scipy.sparse.linalg, name, recording)
         report = edge_modes_truncated(ssh(0.995, 1.0))
         assert (report.dim_ker_pm, report.dim_ker_mp) == (1, 0)
         assert report.truncation_cells == 3224
-        assert calls and all(sigma is not None for sigma in calls)
+        assert calls == []
+
+
+def largest_angle_sine(a, b):
+    """Sine of the largest principal angle between the spans of two orthonormal bases."""
+    assert a.shape == b.shape
+    if a.shape[1] == 0:
+        return 0.0
+    return np.linalg.norm(b - a @ (a.conj().T @ b), 2)
 
 
 def both_branches(cm, cells):
@@ -292,6 +309,52 @@ class TestAugmentedKernelCount:
         assert sparse[4][0] == pytest.approx(dense[4][0], rel=1e-6)
 
 
+class TestSubspaceIteration:
+    # ssh(0.9, 1) decays as 0.9^n: 161 cells, above the dense switch.
+    def test_non_finite_solve_refused(self, monkeypatch):
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "zgbtrs", lambda lu, kl, ku, b, piv: (np.full(b.shape, np.nan, dtype=complex), 0)
+        )
+        with pytest.raises(NonConvergent):
+            halfspace._truncated_kernel_counts(ssh(0.9, 1.0), 161, DEFAULT_TOL)
+
+    def test_block_doubles_until_past_the_band(self, monkeypatch):
+        # ssh(0.97, 1) at 538 cells starts with 2 R q + 2 = 4 columns.  Cut
+        # to one, the first block can hold only the kernel pair's +sigma
+        # vector (sigma = 2.3e-9 smax), not reaching past +-10 tau, so the
+        # block must double.  That vector converges at (sigma - shift) /
+        # (sigma + shift) = 0.39 per solve, so the residual test, not the
+        # three-solve minimum, ends the first call.
+        cm = ssh(0.97, 1.0)
+        dense, plain = both_branches(cm, 538)
+        blocks, solves = [], []
+        subspace = halfspace._shift_invert_subspace
+        zgbtrs = scipy.linalg.lapack.zgbtrs
+
+        def first_block_cut(lu, piv, kl, shift, tau, start):
+            blocks.append(start.shape[1])
+            solves.append(0)
+            return subspace(lu, piv, kl, shift, tau, start[:, :1] if len(blocks) == 1 else start)
+
+        def counting(*args):
+            solves[-1] += 1
+            return zgbtrs(*args)
+
+        monkeypatch.setattr(halfspace, "_shift_invert_subspace", first_block_cut)
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrs", counting)
+        _, doubled = both_branches(cm, 538)
+        assert blocks == [4, 8]
+        assert solves[0] > 3
+        assert (dense[0], dense[1], dense[5]) == (doubled[0], doubled[1], doubled[5]) == (1, 0, False)
+        assert np.allclose(doubled[4], plain[4], rtol=1e-6, atol=0)
+        assert largest_angle_sine(dense[2], doubled[2]) <= 1e-12
+
+    def test_reruns_are_byte_identical(self):
+        # The start block comes from a fixed seed.
+        first, second = (json.dumps(edge_modes_truncated(ssh(0.9, 1.0)).to_dict()) for _ in range(2))
+        assert first == second
+
+
 def random_loop(rng, lowest, planes, q):
     return MatrixLoop(lowest, rng.normal(size=(planes, q, q)) + 1j * rng.normal(size=(planes, q, q)))
 
@@ -304,7 +367,6 @@ def singular_draw_symbol():
 
 class TestAugmentedBand:
     def test_zero_pivot_refused(self, monkeypatch):
-        # ARPACK's refusal is tested through the CLI in test_cli.py.
         zgbtrf = scipy.linalg.lapack.zgbtrf
         monkeypatch.setattr(scipy.linalg.lapack, "zgbtrf", lambda *a, **k: zgbtrf(*a, **k)[:2] + (1,))
         with pytest.raises(NonConvergent):
