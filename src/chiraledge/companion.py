@@ -19,6 +19,7 @@ import scipy.linalg
 from .config import DEFAULT_TOL, Tolerances
 from .errors import (
     BorderlineEigenvalue,
+    GapNotCertified,
     SingularLeadingHop,
     SingularRightHop,
     ZeroMode,
@@ -63,6 +64,31 @@ def recurrence_pencil(symbol: MatrixLoop) -> tuple[np.ndarray, np.ndarray]:
     b = np.eye(n, dtype=complex)
     b[n - q :, n - q :] = symbol.coeffs[-1]
     return a, b
+
+
+def decaying_sector(symbol: MatrixLoop, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
+    """Count k of recurrence_pencil(symbol)'s eigenvalues inside the unit circle, and its QZ basis Z.
+
+    The finite eigenvalues are the roots of lambda^(R q) det symbol, so k - R q
+    is its winding; the ordered QZ puts the decaying initial data in Z[:, :k].
+    A singular pencil (det symbol = 0: a QZ pair with |alpha|, |beta| <=
+    tol.structural times its norm) raises GapNotCertified, a root within
+    tol.circle_band of the circle BorderlineEigenvalue.
+    """
+    a, b = recurrence_pencil(symbol)
+    _, _, alpha, beta, _, z = scipy.linalg.ordqz(a, b, sort="iuc", output="complex")
+    floor = tol.structural * np.hypot(np.linalg.norm(a), np.linalg.norm(b))
+    if np.any((np.abs(alpha) <= floor) & (np.abs(beta) <= floor)):
+        raise GapNotCertified("the symbol's determinant vanishes identically: its recurrence pencil is singular")
+    finite = beta != 0
+    lams = alpha[finite] / beta[finite]
+    off = np.abs(np.abs(lams) - 1.0)
+    if np.any(off <= tol.circle_band):
+        raise BorderlineEigenvalue(
+            f"eigenvalue {lams[np.argmin(off)]:.6g} has modulus within "
+            f"{tol.circle_band:.1e} of the unit circle"
+        )
+    return int(np.sum(np.abs(lams) < 1.0)), z
 
 
 def build_companion(model: ModelParams, energy: complex, tol: Tolerances = DEFAULT_TOL) -> CompanionMatrix:

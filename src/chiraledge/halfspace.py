@@ -39,11 +39,10 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.linalg
 
-from .companion import build_companion, recurrence_pencil, spectral_split
+from .companion import build_companion, decaying_sector, recurrence_pencil, spectral_split
 from .config import CELLS_CAP, CELLS_MIN_DEFAULT, DENSE_SVD_MAX, DEFAULT_TOL, Tolerances
 from .errors import (
     AmbiguousKernel,
-    BorderlineEigenvalue,
     GapNotCertified,
     NonConvergent,
     TooFewCells,
@@ -403,9 +402,9 @@ def _dirichlet_intersection_dim(basis_down: np.ndarray, dirichlet_zeros: int, to
 def edge_modes_companion(model, energy: complex = 0.0, tol: Tolerances = DEFAULT_TOL) -> EdgeReport:
     """Edge-mode dimensions from Dirichlet ∩ decaying-sector intersections.
 
-    For a balanced graded model at zero energy, a QZ of each graded block's
-    recurrence pencil, eigenvalues inside the unit circle first, gives the
-    decaying initial data and both kernel dimensions, for any leading hop.
+    For a balanced graded model at zero energy, the ordered QZ of each graded
+    block's recurrence pencil (companion.decaying_sector) gives the decaying
+    initial data and both kernel dimensions, for any leading hop.
     Otherwise only the total edge-mode dimension at the given energy is
     returned, from the companion matrix, which needs an invertible leading hop.
     """
@@ -415,18 +414,7 @@ def edge_modes_companion(model, energy: complex = 0.0, tol: Tolerances = DEFAULT
             raise UnbalancedGrading("graded kernel dimensions need balanced components")
         dims, decay_dims, svals = [], [], []
         for which in ("pm", "mp"):
-            _, _, alpha, beta, _, z = scipy.linalg.ordqz(
-                *recurrence_pencil(cm.symbol(which)), sort="iuc", output="complex"
-            )
-            finite = beta != 0
-            lams = alpha[finite] / beta[finite]
-            off = np.abs(np.abs(lams) - 1.0)
-            if np.any(off <= tol.circle_band):
-                raise BorderlineEigenvalue(
-                    f"eigenvalue {lams[np.argmin(off)]:.6g} has modulus within "
-                    f"{tol.circle_band:.1e} of the unit circle"
-                )
-            k = int(np.sum(np.abs(lams) < 1.0))
+            k, z = decaying_sector(cm.symbol(which), tol)
             dim, near = _dirichlet_intersection_dim(z[:, :k], cm.hop_range * cm.dim_plus, tol)
             if np.any(near >= tol.kernel):
                 raise AmbiguousKernel(f"{which} Dirichlet singular values inside the undecidable band")

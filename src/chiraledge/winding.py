@@ -2,9 +2,10 @@
 
 The primary method unwraps the phase of the determinant along the unit circle
 with adaptive refinement until every increment is below pi/2, then checks the
-total is an integer multiple of 2*pi.  The validator recovers the determinant
-as a polynomial (times a monomial) by evaluation-interpolation at roots of
-unity and counts its roots inside the unit disk.
+total is an integer multiple of 2*pi.  The validator counts the roots of
+lambda^(R q) det h_pm inside the unit disk as the eigenvalues there of h_pm's
+recurrence pencil (companion.decaying_sector), the same ordered QZ that
+edge_modes_companion reads; the winding is that count minus R q.
 """
 
 from __future__ import annotations
@@ -13,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .companion import decaying_sector
 from .config import DEFAULT_TOL, WINDING_SAMPLE_CAP, Tolerances
-from .errors import GapNotCertified, NonConvergent, UnbalancedGrading
+from .errors import BorderlineEigenvalue, GapNotCertified, NonConvergent, UnbalancedGrading
 from .models import ChiralModel
 
 
@@ -92,72 +94,26 @@ def winding_phase(cm: ChiralModel, initial_samples: int = 512, tol: Tolerances =
     )
 
 
-def block_det_poly_coeffs(cm: ChiralModel, which: str = "pm", tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Ascending coefficients of p(lambda) = lambda^(R q) det block(lambda).
-
-    Recovered by least squares on 4 R q + 1 roots of unity; the fit is
-    overdetermined and must reproduce the samples to tol.interp_residual.
-    """
-    if not cm.balanced:
-        raise UnbalancedGrading("determinant polynomial needs a square block")
-    q = cm.dim_plus
-    big_r = cm.hop_range
-    degree = 2 * big_r * q
-    m = 4 * big_r * q + 1
-    omegas = np.exp(2j * np.pi * np.arange(m) / m)
-    ys = omegas ** (big_r * q) * cm.symbol(which).det_fn()(omegas)
-    vand = omegas[:, None] ** np.arange(degree + 1)[None, :]
-    coeffs, *_ = np.linalg.lstsq(vand, ys, rcond=None)
-    residual = np.linalg.norm(vand @ coeffs - ys) / max(1.0, float(np.linalg.norm(ys)))
-    if residual > tol.interp_residual:
-        raise NonConvergent(f"evaluation-interpolation residual {residual:.3e} too large")
-    return coeffs
-
-
-def _deflate(coeffs: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Trim numerically-zero leading coefficients (singular leading hop blocks)
-    and zero the low-order ones, so that np.roots puts their roots at exactly 0
-    rather than on a ring of fit noise of radius about eps^(1/k).
-    """
-    mags = np.abs(coeffs)
-    floor = rel_tol * float(mags.max())
-    top = len(coeffs)
-    while top > 1 and mags[top - 1] <= floor:
-        top -= 1
-    low = 0
-    while low < top - 1 and mags[low] <= floor:
-        low += 1
-    out = coeffs[:top].copy()
-    out[:low] = 0.0
-    return out
-
-
-def block_det_poly_roots(cm: ChiralModel, which: str = "pm", tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    coeffs = _deflate(block_det_poly_coeffs(cm, which, tol), tol.coeff_trim)
-    if len(coeffs) == 1:
-        return np.array([], dtype=complex)
-    return np.roots(coeffs[::-1])
-
-
 def winding_roots(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> int:
-    """Winding of det h_pm by root counting (validator; finite range only)."""
-    roots = block_det_poly_roots(cm, "pm", tol)
-    if len(roots) and np.any(np.abs(np.abs(roots) - 1.0) <= tol.circle_band):
-        raise GapNotCertified("determinant polynomial has a root on the unit circle")
-    inside = int(np.sum(np.abs(roots) < 1.0))
+    """Winding of det h_pm by root counting (validator); refuses as companion.decaying_sector does."""
+    if not cm.balanced:
+        raise UnbalancedGrading("root counting needs a square h_pm block")
+    inside, _ = decaying_sector(cm.symbol("pm"), tol)
     return inside - cm.hop_range * cm.dim_plus
 
 
 def full_winding(cm: ChiralModel, initial_samples: int = 512, tol: Tolerances = DEFAULT_TOL) -> WindingResult:
-    """Phase-method winding cross-checked against root counting when available.
+    """Phase-method winding cross-checked against the pencil root count.
 
-    Raises NonConvergent when the two methods disagree: the phase unwrap can
-    miss a root pair that lies between two samples.
+    The root count reads None when the pencil refuses (a singular pencil or a
+    root within tol.circle_band of the circle).  Raises NonConvergent when the
+    two methods disagree: the phase unwrap can miss a root pair that lies
+    between two samples.
     """
     phase = winding_phase(cm, initial_samples=initial_samples, tol=tol)
     try:
         roots = winding_roots(cm, tol)
-    except (GapNotCertified, NonConvergent):
+    except (BorderlineEigenvalue, GapNotCertified):
         roots = None
     if roots is not None and roots != phase.method_phase:
         raise NonConvergent(f"phase winding {phase.method_phase} disagrees with root counting {roots}")

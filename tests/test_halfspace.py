@@ -6,7 +6,7 @@ import scipy.linalg.lapack
 import scipy.sparse.linalg
 from hypothesis import assume, example, given, strategies as st
 
-from chiraledge import halfspace, winding
+from chiraledge import halfspace
 from chiraledge.companion import build_companion, propagate
 from chiraledge.config import DEFAULT_TOL
 from chiraledge.errors import (
@@ -30,6 +30,7 @@ from chiraledge.loops import diagonal_monomials, model_from_loop
 from chiraledge.models import ChiralModel, MatrixLoop, ModelParams
 from chiraledge.verify import EnsembleSpec, has_singular_leading_hop, random_chiral_ensemble
 
+from det_poly_fit import block_det_poly_roots
 from test_models import random_self_adjoint
 
 
@@ -154,7 +155,7 @@ class TestDecayScaleEstimate:
         models = make()
         assert models
         for cm in models:
-            roots = np.abs(np.concatenate([winding.block_det_poly_roots(cm, w) for w in ("pm", "mp")]))
+            roots = np.abs(np.concatenate([block_det_poly_roots(cm, w) for w in ("pm", "mp")]))
             inside = roots[roots < 1.0]
             expected = float(inside.max()) if len(inside) else 0.0
             assert decay_scale_estimate(cm) == pytest.approx(expected, abs=1e-12)

@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from chiraledge.errors import GapNotCertified, NonConvergent, UnbalancedGrading
+from chiraledge.errors import BorderlineEigenvalue, GapNotCertified, NonConvergent, UnbalancedGrading
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
+from chiraledge.halfspace import edge_modes_companion
 from chiraledge.loops import model_from_loop
 from chiraledge.models import MatrixLoop
 from chiraledge.verify import EnsembleSpec, random_chiral_ensemble
 from chiraledge.winding import (
-    block_det_poly_coeffs,
-    block_det_poly_roots,
     full_winding,
     winding_of_curve,
     winding_phase,
     winding_roots,
 )
+
+from det_poly_fit import block_det_poly_coeffs, block_det_poly_roots
 
 
 class TestWindingOfCurve:
@@ -96,6 +97,29 @@ class TestWindingRoots:
         # dimerized-plus has a_pm = 1 but a_mp = 0: the polynomial degree drops.
         assert winding_roots(dimerized_plus()) == 1
         assert winding_roots(dimerized_minus()) == -1
+
+    def test_singular_pencil_refused(self):
+        # h = [[1, lambda], [1, lambda]]: det h vanishes identically, so the
+        # recurrence pencil is singular (a QZ pair alpha = beta = 0) and no
+        # root count exists.
+        c = np.zeros((3, 2, 2), dtype=complex)
+        c[1] = [[1, 0], [1, 0]]
+        c[2] = [[0, 1], [0, 1]]
+        cm = model_from_loop(MatrixLoop(-1, c))
+        with pytest.raises(GapNotCertified):
+            winding_roots(cm)
+        with pytest.raises(GapNotCertified):
+            edge_modes_companion(cm)
+
+    def test_borderline_root_leaves_root_count_empty(self):
+        # h = lambda - a with a root 1e-7 inside the circle: the phase unwrap
+        # still decides W = 1, the pencil refuses within circle_band.
+        cm = model_from_loop(MatrixLoop(0, np.array([[[-(1 - 1e-7)]], [[1.0]]], dtype=complex)))
+        with pytest.raises(BorderlineEigenvalue):
+            winding_roots(cm)
+        result = full_winding(cm)
+        assert result.winding == 1
+        assert result.method_roots is None
 
 
 def root_pair_between_samples():
