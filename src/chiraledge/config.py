@@ -20,12 +20,8 @@ class Tolerances:
     cluster: float = 1e-7
     # Relative singular-value threshold for kernel dimensions.
     kernel: float = 1e-7
-    # Relative floor below which polynomial coefficients are trimmed.
-    coeff_trim: float = 1e-10
     # Allowed deviation of a summed phase from an exact multiple of 2*pi.
     winding_integer: float = 1e-6
-    # Required relative residual of the evaluation-interpolation fit.
-    interp_residual: float = 1e-9
 
     def replace(self, **overrides) -> "Tolerances":
         unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}

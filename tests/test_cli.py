@@ -224,8 +224,13 @@ class TestPhaseDiagram:
 
 
 class TestErrorsAndDeterminism:
-    def test_unknown_tolerance_rejected(self, capsys):
-        code, _, err = run(capsys, "winding", "--fixture", "dimerized-plus", "--tol.bogus=1e-3")
+    @pytest.mark.parametrize(
+        "flag",
+        ["--tol.bogus=1e-3", "--tol.interp_residual=1e-9", "--tol.coeff_trim=1e-10"],
+        ids=["bogus", "interp_residual", "coeff_trim"],
+    )
+    def test_unknown_tolerance_rejected(self, capsys, flag):
+        code, _, err = run(capsys, "winding", "--fixture", "dimerized-plus", flag)
         assert code == 2
 
     def test_tolerance_override_accepted(self, capsys):
