@@ -8,7 +8,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # Structural checks on input matrices, relative to the largest matrix norm.
+    # Structural checks on input matrices and on the singularity of a recurrence
+    # pencil, relative to the largest matrix norm.
     structural: float = 1e-10
     # Derived identities (adjoint symmetry, recurrence residuals, ...).
     identity: float = 1e-9
