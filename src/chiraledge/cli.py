@@ -32,11 +32,12 @@ from .errors import (
 )
 from .fixtures import FAMILIES, FIXTURE_NAMES, fixture
 from .halfspace import edge_modes_companion, edge_modes_truncated, in_gap_scan
-from .loops import _least_singular_value, full_deformation
+from .loops import full_deformation
 from .models import (
     ChiralModel,
     chiral_split,
     detect_grading,
+    least_singular_value,
     load_model,
     model_to_dict,
 )
@@ -390,7 +391,7 @@ def _cmd_deform(args, tol) -> int:
                 else np.linspace(stage.t_start, stage.t_end, 9)
             )
             for t in ts:
-                rows.append([si, t, _least_singular_value(stage.evaluate(float(t), lams))])
+                rows.append([si, t, least_singular_value(stage.evaluate(float(t), lams))])
         _emit_csv(["stage", "t", "min_singular_value"], rows, meta, args.csv_out)
     return 0
 

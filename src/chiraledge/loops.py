@@ -23,15 +23,17 @@ one constant along the whole path.  certify_path evaluates the block a
 stage moves at each (t, momentum) point and the fixed rest once per
 momentum grid, and hands the grid's determinants to the winding check, whose
 128 initial samples are that grid.  The least singular value of the moving
-blocks at one t comes from a pruned SVD: a batched inverse bounds each
-block's sigma_min below by 1/||M^-1||_F, and only blocks whose bound does not
-exceed the running minimum are decomposed, so the certificate is the full
-SVD's float.  sigma_max is bounded above by the largest Frobenius norm,
-which only makes the 1e-9 test stricter.  The rotation stages (factor and split
-rotations, the linearization's move and cyclic rotations, sort swaps) move
-only through unitary factors: they are certified at t_start alone, exact in
-t.  Momentum is sampled for every stage.  A stage that starts from the end
-state of earlier ones computes that state once per momentum grid.
+blocks at one t comes from a pruned SVD (models.least_singular_value): a
+batched inverse bounds each block's sigma_min below by 1/||M^-1||_F, and only
+blocks whose bound does not exceed the running minimum are decomposed, so the
+certificate is the full SVD's float.  The fixed rest's two extremes come from
+the pruned helpers of models, bit for bit.  The moving blocks' sigma_max is
+bounded above by the largest Frobenius norm, which only makes the 1e-9 test
+stricter.  The rotation stages (factor and split rotations, the
+linearization's move and cyclic rotations, sort swaps) move only through
+unitary factors: they are certified at t_start alone, exact in t.  Momentum
+is sampled for every stage.  A stage that starts from the end state of
+earlier ones computes that state once per momentum grid.
 """
 
 from __future__ import annotations
@@ -49,7 +51,14 @@ from .config import (
     Tolerances,
 )
 from .errors import CertificateFailed, SpectrumOnCriticalLine, UnbalancedGrading
-from .models import ChiralModel, MatrixLoop, build_model, chiral_split
+from .models import (
+    ChiralModel,
+    MatrixLoop,
+    build_model,
+    chiral_split,
+    largest_singular_value,
+    least_singular_value,
+)
 from .spectrum import GapReport
 from .winding import winding_of_curve
 
@@ -94,8 +103,9 @@ class Stage:
     """One parameterized leg of a homotopy; evaluate(t, lams) -> (K, n, n).
 
     Up to a permutation the matrix is block diagonal: moving(t, lams) and a
-    fixed rest, whose (sigma_min, sigma_max, det) per point fixed(lams) gives;
-    by default the whole matrix moves.  unitary_in_t: t enters only through
+    fixed rest; fixed(lams) gives the rest's least and largest singular
+    values over all of lams and its determinant per point.  By default the
+    whole matrix moves.  unitary_in_t: t enters only through
     unitary factors of t-independent determinant.  det_fixed_in_t: the
     determinant is the same for every t, while the singular values move.
     """
@@ -208,13 +218,13 @@ class _Builder:
 
         def fixed(lams):
             channels = np.abs(lams[:, None] ** powers[None, :])
-            lo = channels.min(axis=1, initial=np.inf)
-            hi = channels.max(axis=1, initial=0.0)
+            lo = float(channels.min(initial=np.inf))
+            hi = float(channels.max(initial=0.0))
             det = lams ** powers.sum()
             if fixed_active is not None:
                 block = fixed_active(lams)
-                sv = np.linalg.svd(block, compute_uv=False)
-                lo, hi = np.minimum(lo, sv[:, -1]), np.maximum(hi, sv[:, 0])
+                lo = least_singular_value(block, lo)
+                hi = max(hi, largest_singular_value(block))
                 det = det * np.linalg.det(block)
             return lo, hi, det
 
@@ -292,32 +302,6 @@ class _Builder:
         self.active = None
 
 
-def _least_singular_value(blocks: np.ndarray, cutoff: float = np.inf) -> float:
-    """min(cutoff, least singular value of a (K, n, n) stack), bit for bit.
-
-    lower = 1/||M^-1||_F from one batched inverse satisfies
-    lower <= sigma_min <= sqrt(n) lower.  The block of smallest lower is
-    decomposed first, and c = min(cutoff, its sigma_min); a block whose lower
-    exceeds c (1 + 1e-6) cannot hold a smaller value and is dropped before
-    one SVD of the rest.  The slack covers the bound's rounding, at most
-    n kappa eps, for kappa below 1e9.  An exactly singular block makes the
-    inverse fail, and then every block is decomposed; so is every block whose
-    ||M^-1||_F is below 1e-150, where its squared entries may underflow.
-    """
-    try:
-        inv_norm = np.linalg.norm(np.linalg.inv(blocks), axis=(1, 2))
-    except np.linalg.LinAlgError:
-        return min(cutoff, float(np.linalg.svd(blocks, compute_uv=False)[:, -1].min()))
-    anchor = int(np.argmax(inv_norm))
-    c = min(cutoff, float(np.linalg.svd(blocks[anchor : anchor + 1], compute_uv=False)[0, -1]))
-    # Drop where lower = 1/inv_norm > c (1 + 1e-6); NaN bounds stay kept.
-    kept = ~(inv_norm * (c * (1 + 1e-6)) < 1.0) | (inv_norm < 1e-150)
-    kept[anchor] = False
-    if not kept.any():
-        return c
-    return min(c, float(np.linalg.svd(blocks[kept], compute_uv=False)[:, -1].min()))
-
-
 def certify_path(
     stages,
     tol: Tolerances = DEFAULT_TOL,
@@ -329,13 +313,16 @@ def certify_path(
 
     Singular values are those of the stage's moving block at each grid point
     and of its fixed rest, taken once per momentum grid; the determinant is
-    their product.  At each t, _least_singular_value takes an SVD only of
-    the blocks whose inverse-norm bound does not rule them out against the
+    their product.  At each t, models.least_singular_value takes an SVD only
+    of the blocks whose inverse-norm bound does not rule them out against the
     running minimum, and returns the full SVD's minimum bit for bit.  The
-    moving block's sigma_max is bounded above by its Frobenius norm.  A
-    stage constant in t or unitary_in_t is certified and wound at t_start
-    alone, so it is exact in t and sampled in lambda.  A det_fixed_in_t
-    stage keeps its certificate t-grid and is wound at t_start alone.
+    fixed rest is pruned the same way, once per grid, for both extremes
+    (models.largest_singular_value drops the blocks whose Frobenius norm
+    rules them out).  The moving block's sigma_max is bounded above by its
+    Frobenius norm.  A stage constant in t or unitary_in_t is certified and
+    wound at t_start alone, so it is exact in t and sampled in lambda.  A
+    det_fixed_in_t stage keeps its certificate t-grid and is wound at
+    t_start alone.
 
     Returns (certificates, windings, grids), grids holding each stage's final
     certificate grid (nt, nk), nt = 1 for a stage certified at one t.
@@ -357,11 +344,10 @@ def certify_path(
         while True:
             ts = [stage.t_start] if one_t else np.linspace(stage.t_start, stage.t_end, nt)
             lams = np.exp(2j * np.pi * np.arange(nk) / nk)
-            lo, hi, fixed_det = stage.fixed(lams)
-            mn, mx = float(np.min(lo)), float(np.max(hi))
+            mn, mx, fixed_det = stage.fixed(lams)
             for t in map(float, ts):
                 values = stage.moving(t, lams)
-                mn = _least_singular_value(values, mn)
+                mn = least_singular_value(values, mn)
                 mx = max(mx, float(np.linalg.norm(values, axis=(1, 2)).max()))
                 if t in wanted and t not in shared:
                     shared[t] = (lams, np.linalg.det(values) * fixed_det)

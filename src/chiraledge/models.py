@@ -46,6 +46,52 @@ def _adjoints(planes: np.ndarray) -> np.ndarray:
     return np.conj(np.transpose(planes, (0, 2, 1)))
 
 
+def least_singular_value(blocks: np.ndarray, cutoff: float = np.inf) -> float:
+    """min(cutoff, least singular value of a (K, n, n) stack), bit for bit.
+
+    lower = 1/||M^-1||_F from one batched inverse satisfies
+    lower <= sigma_min <= sqrt(n) lower.  The block of smallest lower is
+    decomposed first, and c = min(cutoff, its sigma_min); a block whose lower
+    exceeds c (1 + 1e-6) cannot hold a smaller value and is dropped before
+    one SVD of the rest.  The slack covers the bound's rounding, at most
+    n kappa eps, for kappa below 1e9.  An exactly singular block makes the
+    inverse fail, and then every block is decomposed; so is every block whose
+    ||M^-1||_F is below 1e-150, where its squared entries may underflow.
+    """
+    try:
+        inv_norm = np.linalg.norm(np.linalg.inv(blocks), axis=(1, 2))
+    except np.linalg.LinAlgError:
+        return min(cutoff, float(np.linalg.svd(blocks, compute_uv=False)[:, -1].min()))
+    anchor = int(np.argmax(inv_norm))
+    c = min(cutoff, float(np.linalg.svd(blocks[anchor : anchor + 1], compute_uv=False)[0, -1]))
+    # Drop where lower = 1/inv_norm > c (1 + 1e-6); NaN bounds stay kept.
+    kept = ~(inv_norm * (c * (1 + 1e-6)) < 1.0) | (inv_norm < 1e-150)
+    kept[anchor] = False
+    if not kept.any():
+        return c
+    return min(c, float(np.linalg.svd(blocks[kept], compute_uv=False)[:, -1].min()))
+
+
+def largest_singular_value(blocks: np.ndarray) -> float:
+    """Largest singular value of a (K, rows, cols) stack, bit for bit.
+
+    The mirror of least_singular_value: sigma_max <= ||M||_F, so the block of
+    largest Frobenius norm is decomposed first, c = its sigma_max, and a block
+    whose norm times (1 + 1e-6) is below c cannot hold a larger value and is
+    dropped before one SVD of the rest.  The slack covers the norm's rounding.
+    Every block whose norm is below 1e-150, where its squared entries may
+    underflow, is kept, and so is every NaN norm.
+    """
+    fro = np.linalg.norm(blocks, axis=(1, 2))
+    anchor = int(np.argmax(fro))
+    c = float(np.linalg.svd(blocks[anchor : anchor + 1], compute_uv=False)[0, 0])
+    kept = ~(fro * (1 + 1e-6) < c) | (fro < 1e-150)
+    kept[anchor] = False
+    if not kept.any():
+        return c
+    return max(c, float(np.linalg.svd(blocks[kept], compute_uv=False)[:, 0].max()))
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixLoop:
     """Laurent loop h(lambda) = sum_j coeffs[j - lowest_power] lambda^j."""
@@ -79,7 +125,8 @@ class MatrixLoop:
     def lipschitz_bound(self) -> float:
         """Upper bound on ||dh(e^{ik})/dk||: the sum of |j| ||c_j|| over the coefficients."""
         powers = range(self.lowest_power, self.highest_power + 1)
-        return float(sum(abs(p) * np.linalg.norm(c, 2) for p, c in zip(powers, self.coeffs) if p))
+        norms = np.linalg.norm(self.coeffs, 2, axis=(1, 2))
+        return float(sum(abs(p) * n for p, n in zip(powers, norms) if p))
 
     def norm_bound(self) -> float:
         """Upper bound on the sup of ||h(lambda)||_2 over |lambda| = 1, hence on every finite section's norm.
@@ -89,8 +136,8 @@ class MatrixLoop:
         within half a grid step of a sample, the argument detect_gap uses.
         """
         ks = -np.pi + 2.0 * np.pi * np.arange(NUM_K_DEFAULT) / NUM_K_DEFAULT
-        sampled = np.linalg.svd(self.eval_many(np.exp(1j * ks)), compute_uv=False)[:, 0].max()
-        return float(sampled) + self.lipschitz_bound() * np.pi / NUM_K_DEFAULT
+        sampled = largest_singular_value(self.eval_many(np.exp(1j * ks)))
+        return sampled + self.lipschitz_bound() * np.pi / NUM_K_DEFAULT
 
     def adjoint(self) -> "MatrixLoop":
         """The loop lambda -> h(1/conj(lambda))*, equal to h(lambda)* on the unit circle."""
@@ -162,12 +209,13 @@ def build_model(dim_v, hop_range, on_site, right_hops, left_hops=None, tol: Tole
                 f"left_hops has shape {left.shape}, expected {(hop_range, dim_v, dim_v)}"
             )
 
-    norm_scale = max(1.0, *(np.linalg.norm(c, 2) for c in (on_site, *right, *left)))
-    thresh = tol.structural * norm_scale
-    sa = np.linalg.norm(on_site - on_site.conj().T, 2) <= thresh and all(
-        np.linalg.norm(left[r] - right[r].conj().T, 2) <= thresh for r in range(hop_range)
-    )
-    return ModelParams(dim_v, hop_range, _freeze(on_site), _freeze(right), _freeze(left), bool(sa), norm_scale)
+    # One batched SVD: the 2R + 1 coefficients, then the R + 1 defects from self-adjointness.
+    coeffs = np.concatenate([on_site[None], right, left])
+    defects = np.concatenate([(on_site - on_site.conj().T)[None], left - _adjoints(right)])
+    norms = np.linalg.norm(np.concatenate([coeffs, defects]), 2, axis=(1, 2))
+    norm_scale = max(1.0, *norms[: len(coeffs)])
+    sa = bool(np.all(norms[len(coeffs) :] <= tol.structural * norm_scale))
+    return ModelParams(dim_v, hop_range, _freeze(on_site), _freeze(right), _freeze(left), sa, norm_scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,18 +277,13 @@ def chiral_split(model: ModelParams, grading, tol: Tolerances = DEFAULT_TOL) -> 
 
     thresh = tol.structural * model.norm_scale
 
-    def diag_block_norm(m):
-        return max(
-            np.linalg.norm(m[np.ix_(plus_idx, plus_idx)]),
-            np.linalg.norm(m[np.ix_(minus_idx, minus_idx)]),
-        )
-
-    offenders = [diag_block_norm(model.on_site)]
-    offenders += [diag_block_norm(a) for a in model.right_hops]
-    if max(offenders) > thresh:
-        raise NotChiral(
-            f"diagonal graded block of size {max(offenders):.3e} exceeds tolerance {thresh:.3e}"
-        )
+    planes = np.concatenate([model.on_site[None], model.right_hops])
+    offender = max(
+        float(np.linalg.norm(planes[:, idx[:, None], idx[None, :]], axis=(1, 2)).max())
+        for idx in (plus_idx, minus_idx)
+    )
+    if offender > thresh:
+        raise NotChiral(f"diagonal graded block of size {offender:.3e} exceeds tolerance {thresh:.3e}")
 
     if len(plus_idx) != len(minus_idx):
         warnings.warn(

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import NUM_K_CAP, NUM_K_DEFAULT
 from .errors import GapNotCertified, NotSelfAdjoint, UnbalancedGrading
-from .models import ChiralModel, ModelParams
+from .models import ChiralModel, ModelParams, least_singular_value
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,14 +102,15 @@ def certified_gap(
 
 
 def chiral_gap_margin(cm: ChiralModel, num_k: int = NUM_K_DEFAULT) -> float:
-    """Smallest singular value of h_pm(e^{ik}) over the sampled Brillouin zone.
+    """Smallest singular value of h_pm(e^{ik}) over the num_k sampled momenta.
 
-    A positive value (sampled densely enough for the Lipschitz bound) certifies
-    a gap at zero energy.
+    A sampled minimum: a positive value certifies nothing, since sigma_min may
+    dip to 0 between samples.  certified_gap(cm.base, around_energy=0.0)
+    certifies the zero-energy gap against the sampling error.
     """
     if not cm.balanced:
         raise UnbalancedGrading("gap margin at zero energy needs a square h_pm block")
+    if num_k < 8:
+        raise ValueError(f"num_k must be at least 8, got {num_k}")
     ks = -np.pi + 2.0 * np.pi * np.arange(num_k) / num_k
-    blocks = cm.symbol("pm").eval_many(np.exp(1j * ks))
-    sv = np.linalg.svd(blocks, compute_uv=False)
-    return float(sv[:, -1].min())
+    return least_singular_value(cm.symbol("pm").eval_many(np.exp(1j * ks)))

@@ -12,7 +12,6 @@ from chiraledge.loops import (
     Stage,
     _Builder,
     _factor_stages,
-    _least_singular_value,
     _projectionize_stages,
     certify_path,
     companion_pencil,
@@ -21,9 +20,10 @@ from chiraledge.loops import (
     model_from_loop,
     monomial_loop,
 )
-from chiraledge.models import MatrixLoop
+from chiraledge.models import MatrixLoop, least_singular_value
 from chiraledge.verify import EnsembleSpec, random_chiral_ensemble
 from chiraledge.winding import winding_of_curve
+from test_models import STACK_KINDS, adversarial_stack
 
 
 def loop_values_close(a: MatrixLoop, b: MatrixLoop, lams=None) -> bool:
@@ -392,8 +392,8 @@ class TestCertifyPath:
 
     def test_svd_only_where_the_bound_cannot_rule_out(self, monkeypatch):
         # Every grid point gets a batched inverse; at most 35% of them an SVD.
-        # Measured: 31.3%, 26.9% in the pruned SVD and 4.4% in the fixed
-        # rests' once-per-grid SVDs.  Nothing here refines, so each stage's
+        # Measured: 27.7%, 26.9% for the moving blocks and 0.8% for the fixed
+        # rests, pruned once per grid.  Nothing here refines, so each stage's
         # grid points are those of its final grid.
         paths = [full_deformation(cm).stages for cm in certified_symbols()]
         decomposed = []
@@ -446,55 +446,23 @@ class TestCertifyPath:
         assert len(calls) == sum(1 if o else 5 for o in once)
 
 
-def unitaries(rng, k: int, n: int) -> np.ndarray:
-    z = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
-    return np.linalg.qr(z)[0]
-
-
-def with_singular_values(rng, sv: np.ndarray) -> np.ndarray:
-    """A stack of blocks U diag(sv[i]) V with random unitaries U and V."""
-    k, n = sv.shape
-    return (unitaries(rng, k, n) * sv[:, None, :]) @ unitaries(rng, k, n)
-
-
-def adversarial_stack(kind: str, n: int, rng) -> np.ndarray:
-    k = 32
-    sv = np.ones((k, n))
-    if kind == "scaled unitaries":
-        # Every singular value of every block within 1e-15 of 0.7.
-        sv = 0.7 * (1 + 1e-15 * rng.random((k, n)))
-    elif kind == "near-equal minima":
-        sv[:, -1] = 1e-3 * (1 + 1e-12 * rng.random(k))
-    elif kind == "kappa to 1e8":
-        sv[:, -1] = 10.0 ** (-8 * rng.random(k))
-    elif kind == "huge scale":
-        # ||M^-1||_F squares to underflow: the bound reads no entry at all.
-        sv = 1e200 * (1 + rng.random((k, n)))
-    stack = with_singular_values(rng, np.sort(sv, axis=1)[:, ::-1])
-    if kind == "exactly singular":
-        # A zero row stays zero under elimination: the LU pivot is exactly 0.
-        stack[rng.integers(k), -1, :] = 0.0
-    return stack
-
-
 class TestLeastSingularValue:
-    """_least_singular_value(blocks, cutoff) == min(cutoff, the full SVD minimum), bit for bit."""
+    """least_singular_value(blocks, cutoff) == min(cutoff, the full SVD minimum), bit for bit."""
 
     @staticmethod
     def full_minimum(blocks, cutoff):
         return min(cutoff, float(np.linalg.svd(blocks, compute_uv=False)[:, -1].min()))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    @pytest.mark.parametrize(
-        "kind", ["scaled unitaries", "near-equal minima", "kappa to 1e8", "huge scale", "exactly singular"]
-    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("kind", STACK_KINDS)
     def test_equals_full_svd_minimum(self, kind, n):
         rng = np.random.default_rng([n, len(kind)])
         for _ in range(25):
             stack = adversarial_stack(kind, n, rng)
             exact = self.full_minimum(stack, np.inf)
             for cutoff in (np.inf, 2 * exact, exact, 0.5 * exact):
-                assert _least_singular_value(stack, cutoff) == self.full_minimum(stack, cutoff)
+                assert least_singular_value(stack, cutoff) == self.full_minimum(stack, cutoff)
 
     def test_scalar_blocks(self):
         # 1 x 1 blocks, many of one modulus, as the monomial channels give.
@@ -504,7 +472,7 @@ class TestLeastSingularValue:
             stack = (moduli * np.exp(2j * np.pi * rng.random(64)))[:, None, None]
             exact = self.full_minimum(stack, np.inf)
             for cutoff in (np.inf, exact, 0.5 * exact):
-                assert _least_singular_value(stack, cutoff) == self.full_minimum(stack, cutoff)
+                assert least_singular_value(stack, cutoff) == self.full_minimum(stack, cutoff)
 
 
 def deformation_stages():
@@ -530,8 +498,9 @@ class TestStageBlocks:
                 sv = np.linalg.svd(full, compute_uv=False)
                 sv_moving = np.linalg.svd(moving, compute_uv=False)
                 bound = 4 * stage.size * EPS * sv[:, 0].max()
-                assert np.abs(sv[:, -1] - np.minimum(sv_moving[:, -1], lo)).max() <= bound, stage.description
-                assert np.abs(sv[:, 0] - np.maximum(sv_moving[:, 0], hi)).max() <= bound, stage.description
+                # fixed() gives the rest's extremes over the whole grid.
+                assert abs(sv[:, -1].min() - min(sv_moving[:, -1].min(), lo)) <= bound, stage.description
+                assert abs(sv[:, 0].max() - max(sv_moving[:, 0].max(), hi)) <= bound, stage.description
                 det = np.linalg.det(full)
                 assert np.all(np.abs(det - np.linalg.det(moving) * fixed_det) <= det_bound(sv) * np.abs(det))
 

@@ -1,9 +1,13 @@
+import ast
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import chiraledge
+from chiraledge.config import NUM_K_DEFAULT
 from chiraledge.errors import (
     NotChiral,
     NotSelfAdjoint,
@@ -22,11 +26,14 @@ from chiraledge.models import (
     build_model,
     chiral_split,
     detect_grading,
+    largest_singular_value,
+    least_singular_value,
     load_model,
     model_from_dict,
     model_to_dict,
     save_model,
 )
+from chiraledge.spectrum import chiral_gap_margin
 from chiraledge.verify import EnsembleSpec, has_singular_leading_hop, random_chiral_ensemble
 
 HOP = np.array([[0, 0], [1, 0]], dtype=complex)
@@ -225,6 +232,181 @@ class TestNormBound:
             defective(0.5),
         ):
             _norm_bound_checks(cm)
+
+
+def unitaries(rng, k: int, n: int) -> np.ndarray:
+    z = rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+    return np.linalg.qr(z)[0]
+
+
+def with_singular_values(rng, sv: np.ndarray) -> np.ndarray:
+    """A stack of blocks U diag(sv[i]) V with random unitaries U and V."""
+    k, n = sv.shape
+    return (unitaries(rng, k, n) * sv[:, None, :]) @ unitaries(rng, k, n)
+
+
+STACK_KINDS = [
+    "scaled unitaries",
+    "near-equal minima",
+    "kappa to 1e8",
+    "huge scale",
+    "exactly singular",
+    "near-equal maxima",
+    "tiny scale",
+    "tied unitaries",
+    "zero block",
+    "single block",
+]
+
+
+def adversarial_stack(kind: str, n: int, rng) -> np.ndarray:
+    """32 blocks of size n x n (one for "single block") built against the pruning of either extreme."""
+    k = 32
+    sv = np.ones((k, n))
+    if kind == "scaled unitaries":
+        # Every singular value of every block within 1e-15 of 0.7.
+        sv = 0.7 * (1 + 1e-15 * rng.random((k, n)))
+    elif kind == "near-equal minima":
+        sv[:, -1] = 1e-3 * (1 + 1e-12 * rng.random(k))
+    elif kind == "near-equal maxima":
+        sv[:, 0] = 1e3 * (1 + 1e-12 * rng.random(k))
+    elif kind == "kappa to 1e8":
+        sv[:, -1] = 10.0 ** (-8 * rng.random(k))
+    elif kind == "huge scale":
+        # ||M^-1||_F squares to underflow: the bound reads no entry at all.
+        sv = 1e200 * (1 + rng.random((k, n)))
+    elif kind == "tiny scale":
+        # ||M||_F squares to underflow: the Frobenius bound reads 0.
+        sv = 1e-200 * (1 + rng.random((k, n)))
+    stack = with_singular_values(rng, np.sort(sv, axis=1)[:, ::-1])
+    if kind == "exactly singular":
+        # A zero row stays zero under elimination: the LU pivot is exactly 0.
+        stack[rng.integers(k), -1, :] = 0.0
+    elif kind == "tied unitaries":
+        # Two scaled unitaries, each repeated: ties in both extremes and in both bounds.
+        stack = (np.array([0.5, 2.0])[:, None, None] * unitaries(rng, 2, n))[rng.integers(2, size=k)]
+    elif kind == "zero block":
+        stack[rng.integers(k)] = 0.0
+    elif kind == "single block":
+        stack = stack[:1]
+    return stack
+
+
+def _svd_extremes(tree: ast.AST):
+    """Nodes X[:, -1].min() and X[:, 0].max(), X an svd(..., compute_uv=False) call or a name bound to one."""
+
+    def is_svd(node):
+        return (
+            isinstance(node, ast.Call)
+            and ast.unparse(node.func).endswith("svd")
+            and any(k.arg == "compute_uv" and ast.unparse(k.value) == "False" for k in node.keywords)
+        )
+
+    names = {
+        t.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and is_svd(node.value)
+        for t in node.targets
+        if isinstance(t, ast.Name)
+    }
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            continue
+        sub = node.func.value
+        if not isinstance(sub, ast.Subscript):
+            continue
+        index = ast.unparse(sub).removeprefix(ast.unparse(sub.value))
+        if (node.func.attr, index) not in (("min", "[:, -1]"), ("max", "[:, 0]")):
+            continue
+        if is_svd(sub.value) or (isinstance(sub.value, ast.Name) and sub.value.id in names):
+            yield node
+
+
+def test_one_home_for_each_sampled_extreme():
+    # A stack's least or largest singular value comes from
+    # least_singular_value or largest_singular_value, which give the full
+    # batched SVD's float from fewer SVDs; a second reduction elsewhere would
+    # pay the full SVD again.
+    helpers = {"least_singular_value", "largest_singular_value"}
+    found = []
+    for path in sorted(Path(chiraledge.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        inside = set()
+        if path.name == "models.py":
+            inside = {
+                id(n) for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in helpers for n in ast.walk(f)
+            }
+        found += [f"{path.name}:{n.lineno}" for n in _svd_extremes(tree) if id(n) not in inside]
+    assert not found, f"batched SVD reduced to an extreme outside the models helpers: {found}"
+
+
+class TestLargestSingularValue:
+    """largest_singular_value(blocks) == the full SVD maximum, bit for bit."""
+
+    @staticmethod
+    def full_maximum(blocks):
+        return float(np.linalg.svd(blocks, compute_uv=False)[:, 0].max())
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", STACK_KINDS)
+    def test_equals_full_svd_maximum(self, kind, n):
+        rng = np.random.default_rng([n, len(kind)])
+        for _ in range(25):
+            stack = adversarial_stack(kind, n, rng)
+            assert largest_singular_value(stack) == self.full_maximum(stack)
+
+    def test_scalar_blocks(self):
+        # 1 x 1 blocks, many of one modulus, as the monomial channels give.
+        rng = np.random.default_rng(3)
+        for _ in range(50):
+            moduli = rng.choice([0.5, 1.0, 2.0 - 2e-16, 2.0], size=64)
+            stack = (moduli * np.exp(2j * np.pi * rng.random(64)))[:, None, None]
+            assert largest_singular_value(stack) == self.full_maximum(stack)
+
+    def test_rectangular_blocks(self):
+        rng = np.random.default_rng(4)
+        stack = rng.standard_normal((64, 2, 3)) + 1j * rng.standard_normal((64, 2, 3))
+        assert largest_singular_value(stack) == self.full_maximum(stack)
+
+
+# The full-SVD expressions that the pruned helpers and the batched norms
+# replaced, kept as the reference they must equal bit for bit.
+
+
+def reference_gap_margin(cm: ChiralModel, num_k: int) -> float:
+    ks = -np.pi + 2.0 * np.pi * np.arange(num_k) / num_k
+    sv = np.linalg.svd(cm.symbol("pm").eval_many(np.exp(1j * ks)), compute_uv=False)
+    return float(sv[:, -1].min())
+
+
+def reference_lipschitz_bound(loop: MatrixLoop) -> float:
+    powers = range(loop.lowest_power, loop.highest_power + 1)
+    return float(sum(abs(p) * np.linalg.norm(c, 2) for p, c in zip(powers, loop.coeffs) if p))
+
+
+def reference_norm_bound(loop: MatrixLoop) -> float:
+    ks = -np.pi + 2.0 * np.pi * np.arange(NUM_K_DEFAULT) / NUM_K_DEFAULT
+    sampled = np.linalg.svd(loop.eval_many(np.exp(1j * ks)), compute_uv=False)[:, 0].max()
+    return float(sampled) + reference_lipschitz_bound(loop) * np.pi / NUM_K_DEFAULT
+
+
+def reference_norm_scale(model: ModelParams) -> float:
+    return max(1.0, *(np.linalg.norm(c, 2) for c in (model.on_site, *model.right_hops, *model.left_hops)))
+
+
+class TestPrunedExtremesMatchFullSVD:
+    @pytest.mark.parametrize("dim_v,hop_range", [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2), (6, 1)])
+    def test_random_symbols(self, dim_v, hop_range):
+        models = random_chiral_ensemble(EnsembleSpec(seed=41, count=12, dim_v=dim_v, hop_range=hop_range))
+        assert any(has_singular_leading_hop(cm) for cm in models)
+        for cm in models:
+            for num_k in (256, NUM_K_DEFAULT):
+                assert chiral_gap_margin(cm, num_k) == reference_gap_margin(cm, num_k)
+            for loop in (cm.symbol("pm"), cm.symbol("mp"), cm.base.symbol()):
+                assert loop.lipschitz_bound() == reference_lipschitz_bound(loop)
+                assert loop.norm_bound() == reference_norm_bound(loop)
+            assert cm.base.norm_scale == reference_norm_scale(cm.base)
 
 
 class TestModelFiles:

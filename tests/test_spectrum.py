@@ -11,6 +11,7 @@ from chiraledge.spectrum import (
     chiral_gap_margin,
     detect_gap,
 )
+from chiraledge.verify import EnsembleSpec, random_chiral_ensemble
 
 
 class TestBandStructure:
@@ -81,6 +82,15 @@ class TestChiralGapMargin:
 
     def test_trivial_margin_one(self):
         assert chiral_gap_margin(dimerized_trivial(), 128) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("num_k", [-1, 0, 1, 7])
+    def test_short_grid_refused(self, num_k):
+        # The floor band_structure keeps: one sample is no margin, and no
+        # samples have no minimum.
+        with pytest.raises(ValueError, match="num_k must be at least 8"):
+            chiral_gap_margin(ssh(1, 2), num_k)
+        with pytest.raises(ValueError, match="num_k must be at least 8"):
+            random_chiral_ensemble(EnsembleSpec(seed=1, count=1, dim_v=2, hop_range=1), num_k=num_k)
 
     @given(
         t1=st.floats(0.1, 2.0),
