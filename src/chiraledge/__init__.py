@@ -53,6 +53,5 @@ from .verify import (
     random_chiral_ensemble,
     verify_bec,
     verify_gap_exclusion,
-    verify_two_band_strong,
 )
 from .winding import WindingResult, full_winding, winding_of_curve, winding_phase, winding_roots

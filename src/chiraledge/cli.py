@@ -44,10 +44,11 @@ from .models import (
 from .spectrum import band_structure, certified_gap, chiral_gap_margin, detect_gap
 from .verify import (
     EnsembleSpec,
-    _two_band_case,
     case_to_dict,
     random_chiral_ensemble,
+    two_band_case,
     verify_bec,
+    verify_gap_exclusion,
 )
 from .winding import full_winding
 
@@ -283,11 +284,11 @@ def _cmd_winding(args, tol) -> int:
 def _cmd_edge(args, tol) -> int:
     model, grading, raw = _resolve_model(args, tol)
     cm = _require_chiral(model, grading, args, tol)
-    meta = _meta(raw, args.seed, tol, {"cells": args.cells, "method": args.method, "energy": args.energy})
+    meta = _meta(raw, args.seed, tol, {"cells": args.cells, "method": args.method})
     doc = {"meta": meta}
     truncated = companion = None
     if args.method in ("truncated", "both"):
-        truncated = edge_modes_truncated(cm, cells=args.cells, energy=args.energy, tol=tol)
+        truncated = edge_modes_truncated(cm, cells=args.cells, tol=tol)
     if args.method in ("companion", "both"):
         companion = edge_modes_companion(cm, 0.0, tol)
     main = truncated or companion
@@ -402,9 +403,12 @@ def _verify_one(cm: ChiralModel, cells, tol) -> dict:
     ok = entry["bec"]["passed"]
     if cm.dim_v == 2:
         # The strong form reads the gap, winding and edge count verify_bec computed.
-        two_band = _two_band_case(cm, bec.gap, bec.winding, bec.edge)
+        two_band = two_band_case(cm, bec.gap, bec.winding, bec.edge)
         entry["two_band"] = case_to_dict(two_band)
         ok = ok and entry["two_band"]["passed"]
+    if cm.dim_v == 2 and cm.hop_range == 1:
+        entry["gap_exclusion"] = case_to_dict(verify_gap_exclusion(cm, tol=tol))
+        ok = ok and entry["gap_exclusion"]["passed"]
     entry["passed"] = ok
     return entry
 
@@ -547,7 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("edge", parents=[common], help="edge-mode kernel dimensions and index")
     p.add_argument("--cells", type=int)
-    p.add_argument("--energy", type=float, default=0.0)
     p.add_argument("--method", choices=["truncated", "companion", "both"], default="both")
     p.set_defaults(func=_cmd_edge)
 

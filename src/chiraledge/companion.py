@@ -24,7 +24,7 @@ from .errors import (
     SingularRightHop,
     ZeroMode,
 )
-from .models import MatrixLoop, ModelParams
+from .models import MatrixLoop, ModelParams, numerically_singular
 
 
 @dataclass(frozen=True, eq=False)
@@ -40,8 +40,7 @@ class CompanionMatrix:
 
 def _check_leading_hop(model: ModelParams, tol: Tolerances) -> np.ndarray:
     a_r = model.right_hops[-1]
-    sv = np.linalg.svd(a_r, compute_uv=False)
-    if sv[-1] == 0 or sv[0] / sv[-1] > tol.singular_cond:
+    if numerically_singular(a_r, tol):
         raise SingularLeadingHop(
             f"leading right hop has condition number above {tol.singular_cond:.1e}; "
             "use the truncated half-space route instead"
@@ -180,21 +179,14 @@ def _schur_sector_basis(matrix: np.ndarray, predicate) -> np.ndarray:
     return z[:, :sdim]
 
 
-def spectral_split(cm: CompanionMatrix, tol: Tolerances = DEFAULT_TOL, clean: bool = False) -> CompanionSplit:
+def spectral_split(cm: CompanionMatrix, tol: Tolerances = DEFAULT_TOL) -> CompanionSplit:
     """Split the initial-data space into decrease / unit-circle / increase sectors.
 
-    With clean=True, any eigenvalue whose modulus falls inside the unit-circle
-    tolerance band raises BorderlineEigenvalue instead of being classified as
-    oscillating; callers that turn sector dimensions into integer invariants
-    should demand this.
+    Eigenvalues within tol.circle_band of the unit circle are classified as
+    oscillating; integer counts come from decaying_sector, which refuses them.
     """
     rho = tol.circle_band
     eigs = np.linalg.eigvals(cm.matrix)
-    if clean and np.any(np.abs(np.abs(eigs) - 1.0) <= rho):
-        worst = eigs[np.argmin(np.abs(np.abs(eigs) - 1.0))]
-        raise BorderlineEigenvalue(
-            f"eigenvalue {worst:.6g} has modulus within {rho:.1e} of the unit circle"
-        )
     basis_down = _schur_sector_basis(cm.matrix, lambda lam: abs(lam) < 1.0 - rho)
     basis_bloch = _schur_sector_basis(cm.matrix, lambda lam: abs(abs(lam) - 1.0) <= rho)
     basis_up = _schur_sector_basis(cm.matrix, lambda lam: abs(lam) > 1.0 + rho)
@@ -310,9 +302,7 @@ def propagate(
         cells.append(state[-d:].copy())
     start = first_cell
     if back_steps:
-        b_r = model.left_hops[-1]
-        sv = np.linalg.svd(b_r, compute_uv=False)
-        if sv[-1] == 0 or sv[0] / sv[-1] > tol.singular_cond:
+        if numerically_singular(model.left_hops[-1], tol):
             raise SingularRightHop("leading left hop is singular; cannot propagate leftward")
         state = initial
         head = []

@@ -39,7 +39,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy.linalg
 
-from .companion import build_companion, decaying_sector, recurrence_pencil, spectral_split
+# spectral_split is unused here but stays importable: perfbench/spans.py wraps it.
+from .companion import decaying_sector, recurrence_pencil, spectral_split
 from .config import CELLS_CAP, CELLS_MIN_DEFAULT, DENSE_SVD_MAX, DEFAULT_TOL, Tolerances
 from .errors import (
     AmbiguousKernel,
@@ -294,7 +295,7 @@ def decay_scale_estimate(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> floa
     return float(inside.max())
 
 
-def _decay_min_cells(q: float, hop_range: int, tol: Tolerances) -> int:
+def decay_min_cells(q: float, hop_range: int, tol: Tolerances) -> int:
     """Fewest cells over which an edge mode decaying as q^n falls below tol.kernel.
 
     Adds 8 R cells of margin for the boundary; a decay rate q <= 1e-12 needs
@@ -305,41 +306,35 @@ def _decay_min_cells(q: float, hop_range: int, tol: Tolerances) -> int:
     return math.ceil(math.log(tol.kernel) / math.log(q)) + 8 * hop_range
 
 
-def _cells_target(cm: ChiralModel, tol: Tolerances):
-    """Uncapped truncation size pushing the slowest edge decay below the kernel threshold."""
-    q = decay_scale_estimate(cm, tol)
-    if q <= 1e-12:
-        return CELLS_MIN_DEFAULT, q
-    return max(CELLS_MIN_DEFAULT, _decay_min_cells(q, cm.hop_range, tol)), q
-
-
 def edge_modes_truncated(
     cm: ChiralModel,
     cells: int | None = None,
-    energy: float = 0.0,
     tol: Tolerances = DEFAULT_TOL,
     gap: GapReport | None = None,
 ) -> EdgeReport:
-    """Kernel dimensions of the truncated graded blocks, left-localized only.
+    """Kernel dimensions of the truncated graded blocks at zero energy, left-localized only.
 
-    Works for singular A_R.  With cells=None the truncation size is chosen from
-    the decay estimate and ambiguous singular values trigger automatic
-    refinement; with an explicit cells they raise AmbiguousKernel instead.  An
-    explicit cells shorter than the decay minimum (_decay_min_cells of the
-    decay estimate) also raises AmbiguousKernel, since the section would leave
-    a kernel singular value above the threshold and undercount.
+    Works for singular A_R.  The gap around 0 must be certified.  With
+    cells=None the truncation size is max(CELLS_MIN_DEFAULT, the decay minimum)
+    and ambiguous singular values trigger automatic refinement; with an
+    explicit cells they raise AmbiguousKernel instead.  An explicit cells
+    shorter than the decay minimum (decay_min_cells of the decay estimate) also
+    raises AmbiguousKernel, since the section would leave a kernel singular
+    value above the threshold and undercount.
     """
     if not cm.balanced:
         raise UnbalancedGrading("edge index needs balanced graded components")
     if gap is None:
-        gap = certified_gap(cm.base, around_energy=energy)
-    if not gap.gapped or not (gap.e_minus < energy < gap.e_plus):
-        raise GapNotCertified(f"no certified gap around energy {energy}")
+        gap = certified_gap(cm.base, around_energy=0.0)
+    if not gap.gapped or not (gap.e_minus < 0.0 < gap.e_plus):
+        raise GapNotCertified("no certified gap around energy 0.0")
 
     cap = max(CELLS_MIN_DEFAULT, CELLS_CAP // cm.dim_plus)
+    q_est = decay_scale_estimate(cm, tol)
+    minimum = decay_min_cells(q_est, cm.hop_range, tol)
     auto = cells is None
     if auto:
-        cells, q_est = _cells_target(cm, tol)
+        cells = max(CELLS_MIN_DEFAULT, minimum)
         if cells > cap:
             # Refusing beats a silent undercount: beyond the cap the kernel
             # singular values cannot be pushed below the threshold.
@@ -347,16 +342,12 @@ def edge_modes_truncated(
                 f"kernel threshold needs ~{cells} cells for decay rate {q_est:.6f}; "
                 f"cap is {cap}"
             )
-    else:
-        q_est = decay_scale_estimate(cm, tol)
-        minimum = _decay_min_cells(q_est, cm.hop_range, tol)
-        if cells < minimum:
-            # Refusing beats a silent undercount, as for the cap above.
-            raise AmbiguousKernel(
-                f"{cells} cells are too few for decay rate {q_est:.6f}; "
-                f"the kernel threshold needs at least {minimum}"
-            )
-    cells = max(cells, 4 * cm.hop_range)
+    elif cells < minimum:
+        # Refusing beats a silent undercount, as for the cap above.
+        raise AmbiguousKernel(
+            f"{cells} cells are too few for decay rate {q_est:.6f}; "
+            f"the kernel threshold needs at least {minimum}"
+        )
 
     while True:
         pm, mp, pm_vecs, mp_vecs, near, ambiguous = _truncated_kernel_counts(cm, cells, tol)
@@ -400,53 +391,53 @@ def _dirichlet_intersection_dim(basis_down: np.ndarray, dirichlet_zeros: int, to
 
 
 def edge_modes_companion(model, energy: complex = 0.0, tol: Tolerances = DEFAULT_TOL) -> EdgeReport:
-    """Edge-mode dimensions from Dirichlet ∩ decaying-sector intersections.
+    """Edge-mode dimensions from Dirichlet ∩ decaying-sector intersections, for any leading hop.
 
-    For a balanced graded model at zero energy, the ordered QZ of each graded
-    block's recurrence pencil (companion.decaying_sector) gives the decaying
-    initial data and both kernel dimensions, for any leading hop.
-    Otherwise only the total edge-mode dimension at the given energy is
-    returned, from the companion matrix, which needs an invertible leading hop.
+    The ordered QZ of a symbol's recurrence pencil (companion.decaying_sector)
+    gives its decaying initial data; the first R x (symbol size) coordinates,
+    the cells left of the edge, must vanish.  For a balanced graded model at
+    zero energy the symbols are h_pm and h_mp, and both kernel dimensions are
+    returned.  Otherwise the symbol is H - E, and only the total edge-mode
+    dimension at that energy is returned.  A singular pencil raises
+    GapNotCertified.
     """
-    if isinstance(model, ChiralModel) and energy == 0:
-        cm = model
-        if not cm.balanced:
+    graded = isinstance(model, ChiralModel) and energy == 0
+    if graded:
+        if not model.balanced:
             raise UnbalancedGrading("graded kernel dimensions need balanced components")
-        dims, decay_dims, svals = [], [], []
-        for which in ("pm", "mp"):
-            k, z = decaying_sector(cm.symbol(which), tol)
-            dim, near = _dirichlet_intersection_dim(z[:, :k], cm.hop_range * cm.dim_plus, tol)
-            if np.any(near >= tol.kernel):
-                raise AmbiguousKernel(f"{which} Dirichlet singular values inside the undecidable band")
-            dims.append(dim)
-            decay_dims.append(k)
-            svals.extend(float(x) for x in near)
-        pm, mp = dims
+        symbols = {"pm": model.symbol("pm"), "mp": model.symbol("mp")}
+    else:
+        base = model.base if isinstance(model, ChiralModel) else model
+        planes = base.symbol().coeffs.copy()
+        planes[base.hop_range] -= complex(energy) * np.eye(base.dim_v)
+        symbols = {"H - E": MatrixLoop(-base.hop_range, planes)}
+    dims, decay_dims, svals = [], [], []
+    for name, symbol in symbols.items():
+        k, z = decaying_sector(symbol, tol)
+        dim, near = _dirichlet_intersection_dim(z[:, :k], -symbol.lowest_power * symbol.size, tol)
+        if np.any(near >= tol.kernel):
+            raise AmbiguousKernel(f"{name} Dirichlet singular values inside the undecidable band")
+        dims.append(dim)
+        decay_dims.append(k)
+        svals.extend(float(x) for x in near)
+    if not graded:
         return EdgeReport(
-            dim_ker_pm=pm,
-            dim_ker_mp=mp,
-            edge_index=pm - mp,
+            dim_ker_pm=None,
+            dim_ker_mp=None,
+            edge_index=None,
             method="companion",
             singular_values_near_zero=svals,
-            truncation_cells=None,
-            dim_edge_total=pm + mp,
-            graded_decay_dims=tuple(decay_dims),
+            dim_edge_total=dims[0],
         )
-
-    base = model.base if isinstance(model, ChiralModel) else model
-    comp = build_companion(base, energy, tol)
-    split = spectral_split(comp, tol, clean=True)
-    dim, near = _dirichlet_intersection_dim(
-        split.basis_down, base.hop_range * base.dim_v, tol
-    )
+    pm, mp = dims
     return EdgeReport(
-        dim_ker_pm=None,
-        dim_ker_mp=None,
-        edge_index=None,
+        dim_ker_pm=pm,
+        dim_ker_mp=mp,
+        edge_index=pm - mp,
         method="companion",
-        singular_values_near_zero=[float(x) for x in near],
-        truncation_cells=None,
-        dim_edge_total=dim,
+        singular_values_near_zero=svals,
+        dim_edge_total=pm + mp,
+        graded_decay_dims=tuple(decay_dims),
     )
 
 

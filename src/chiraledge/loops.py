@@ -58,6 +58,7 @@ from .models import (
     chiral_split,
     largest_singular_value,
     least_singular_value,
+    numerically_singular,
 )
 from .spectrum import GapReport
 from .winding import winding_of_curve
@@ -601,8 +602,7 @@ def _projectionize_stages(builder: _Builder, c_mat: np.ndarray, d_mat: np.ndarra
     s = c_mat.shape[0]
     sub_idx = list(builder.active_idx)
     ell_at_one = c_mat + d_mat
-    sv = np.linalg.svd(ell_at_one, compute_uv=False)
-    if sv[-1] == 0 or sv[0] / sv[-1] > tol.singular_cond:
+    if numerically_singular(ell_at_one, tol):
         raise CertificateFailed("pencil is numerically singular at lambda = 1")
 
     def ell_eval(lams):
@@ -689,7 +689,7 @@ def _spectral_projection(matrix: np.ndarray, tol: Tolerances):
     rank = int(sel.sum())
     if rank in (0, n):
         return (np.eye(n, dtype=complex) if rank == n else np.zeros((n, n), dtype=complex)), rank
-    if np.linalg.cond(vecs) <= tol.singular_cond:
+    if not numerically_singular(vecs, tol):
         q = vecs @ np.diag(sel.astype(complex)) @ np.linalg.inv(vecs)
         return q, rank
     t_mat, z, sdim = scipy.linalg.schur(
@@ -735,10 +735,10 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
     endpoint = diagonal_monomials(powers)
     counts = (powers.count(1), powers.count(-1), powers.count(0))
 
-    from .halfspace import _decay_min_cells, edge_modes_truncated
+    from .halfspace import decay_min_cells, edge_modes_truncated
 
     endpoint_cm = model_from_loop(endpoint, tol)
-    cells = _decay_min_cells(0.0, endpoint_cm.hop_range, tol)
+    cells = decay_min_cells(0.0, endpoint_cm.hop_range, tol)
     gap = GapReport(True, endpoint.size - 1, -1.0, 1.0, 2.0)
     endpoint_edge = edge_modes_truncated(endpoint_cm, cells=cells, tol=tol, gap=gap)
     return HomotopyPath(

@@ -46,6 +46,12 @@ def _adjoints(planes: np.ndarray) -> np.ndarray:
     return np.conj(np.transpose(planes, (0, 2, 1)))
 
 
+def numerically_singular(m: np.ndarray, tol: Tolerances) -> bool:
+    """True when a square matrix is exactly singular or its condition number exceeds tol.singular_cond."""
+    sv = np.linalg.svd(m, compute_uv=False)
+    return bool(sv[-1] == 0 or sv[0] / sv[-1] > tol.singular_cond)
+
+
 def least_singular_value(blocks: np.ndarray, cutoff: float = np.inf) -> float:
     """min(cutoff, least singular value of a (K, n, n) stack), bit for bit.
 
@@ -293,9 +299,9 @@ def chiral_split(model: ModelParams, grading, tol: Tolerances = DEFAULT_TOL) -> 
             stacklevel=2,
         )
 
-    v_block = model.on_site[np.ix_(minus_idx, plus_idx)]
-    a_pm = np.stack([a[np.ix_(minus_idx, plus_idx)] for a in model.right_hops])
-    a_mp = np.stack([a[np.ix_(plus_idx, minus_idx)] for a in model.right_hops])
+    v_block = planes[0, minus_idx[:, None], plus_idx]
+    a_pm = planes[1:, minus_idx[:, None], plus_idx]
+    a_mp = planes[1:, plus_idx[:, None], minus_idx]
     grading = grading.copy()
     for a in (grading, plus_idx, minus_idx):
         a.flags.writeable = False

@@ -21,7 +21,7 @@ from .halfspace import (
     edge_modes_truncated,
     in_gap_scan,
 )
-from .models import ChiralModel, build_model, chiral_split
+from .models import ChiralModel, build_model, chiral_split, numerically_singular
 from .spectrum import GapReport, certified_gap, chiral_gap_margin
 from .winding import WindingResult, full_winding
 
@@ -114,27 +114,11 @@ def verify_bec(cm: ChiralModel, cells: int | None = None, tol: Tolerances = DEFA
     return VerificationCase(model=cm, winding=winding, edge=edge, gap=gap, verdicts=verdicts)
 
 
-def verify_two_band_strong(cm: ChiralModel, cells: int | None = None, tol: Tolerances = DEFAULT_TOL) -> VerificationCase:
-    """Two-band strong form: kernel dimensions are (max(0,W), max(0,-W)) and |W| <= R."""
-    if cm.dim_v != 2:
-        reason = {"reason": f"needs a two-band model, got dim_v={cm.dim_v}"}
-        return VerificationCase(
-            model=cm,
-            winding=None,
-            edge=None,
-            gap=None,
-            verdicts={"winding_range": Verdict("skip", dict(reason)),
-                      "kernel_dims": Verdict("skip", dict(reason)),
-                      "one_sided_kernels": Verdict("skip", dict(reason))},
-        )
-    gap = certified_gap(cm.base, around_energy=0.0)
-    winding = full_winding(cm, tol=tol)
-    edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gap)
-    return _two_band_case(cm, gap, winding, edge)
+def two_band_case(cm: ChiralModel, gap: GapReport, winding: WindingResult, edge: EdgeReport) -> VerificationCase:
+    """Two-band strong form on an already computed gap, winding and edge count.
 
-
-def _two_band_case(cm: ChiralModel, gap: GapReport, winding: WindingResult, edge: EdgeReport) -> VerificationCase:
-    """The two-band strong-form verdicts on an already computed gap, winding and edge count."""
+    For dim_v = 2 the kernel dimensions are (max(0, W), max(0, -W)) and |W| <= R.
+    """
     w = winding.winding
     verdicts = {
         "winding_range": Verdict(
@@ -252,5 +236,4 @@ def random_chiral_ensemble(
 
 
 def has_singular_leading_hop(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> bool:
-    sv = np.linalg.svd(cm.base.right_hops[-1], compute_uv=False)
-    return bool(sv[-1] == 0 or sv[0] / sv[-1] > tol.singular_cond)
+    return numerically_singular(cm.base.right_hops[-1], tol)

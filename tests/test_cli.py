@@ -136,6 +136,13 @@ class TestEdgeCommand:
         assert code == 1 and out == ""
         assert json.loads(err.strip().splitlines()[-1])["error"] == "AmbiguousKernel"
 
+    def test_energy_flag_is_malformed(self, capsys):
+        # The edge index is a zero-energy count; there is no energy to choose.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["edge", "--fixture", "ssh:t1=1,t2=2", "--energy", "0.5"])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 def nan_band_solve(lu, kl, ku, b, piv):
     return np.full(b.shape, np.nan, dtype=complex), 0

@@ -8,6 +8,7 @@ from chiraledge.companion import (
     char_poly_residual,
     cluster_eigenvalues,
     decay_rate,
+    decaying_sector,
     duality_check,
     propagate,
     spectral_split,
@@ -119,7 +120,7 @@ class TestSpectralSplit:
         gap = certified_gap(cm.base, 0.0)
         energy = 0.5 * (gap.e_minus + gap.e_plus) + 0.3 * (gap.e_plus - gap.e_minus) / 2
         comp = build_companion(cm.base, energy)
-        split = spectral_split(comp, clean=True)
+        split = spectral_split(comp)
         assert split.dims == (2, 0, 2)
 
     def test_defective_clusters(self):
@@ -138,7 +139,7 @@ class TestSpectralSplit:
         split = spectral_split(comp)
         assert split.dims == (0, 2, 0)
         with pytest.raises(BorderlineEigenvalue):
-            spectral_split(comp, clean=True)
+            decaying_sector(scalar_chain().symbol())
 
     def test_bases_span_everything(self):
         rng = np.random.default_rng(3)
@@ -168,7 +169,7 @@ class TestSpectralSplit:
                 continue
             gap = certified_gap(cm.base, 0.0)
             energy = rng.uniform(gap.e_minus + 0.05, gap.e_plus - 0.05)
-            split = spectral_split(build_companion(cm.base, energy), clean=True)
+            split = spectral_split(build_companion(cm.base, energy))
             assert split.dims[1] == 0
             assert split.dims[0] == split.dims[2] == cm.hop_range * cm.dim_v
 

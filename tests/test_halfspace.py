@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 from hypothesis import assume, example, given, strategies as st
 
 from chiraledge import halfspace
-from chiraledge.companion import build_companion, propagate
+from chiraledge.companion import build_companion, propagate, spectral_split
 from chiraledge.config import DEFAULT_TOL
 from chiraledge.errors import (
     AmbiguousKernel,
@@ -19,6 +19,7 @@ from chiraledge.errors import (
 )
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
 from chiraledge.halfspace import (
+    decay_min_cells,
     decay_scale_estimate,
     edge_modes_companion,
     edge_modes_truncated,
@@ -27,7 +28,7 @@ from chiraledge.halfspace import (
     truncate_halfspace,
 )
 from chiraledge.loops import diagonal_monomials, model_from_loop
-from chiraledge.models import ChiralModel, MatrixLoop, ModelParams
+from chiraledge.models import ChiralModel, MatrixLoop, ModelParams, build_model
 from chiraledge.verify import EnsembleSpec, has_singular_leading_hop, random_chiral_ensemble
 
 from det_poly_fit import block_det_poly_roots
@@ -208,6 +209,18 @@ class TestEdgeModesTruncated:
     def test_gap_required(self):
         with pytest.raises(GapNotCertified):
             edge_modes_truncated(ssh(1, 1))
+
+    def test_automatic_size_meets_the_explicit_minimum(self):
+        # h_pm = lambda^9: zero decay, so the explicit minimum is the 8R = 72
+        # cell margin, above the 64-cell default floor.
+        coeffs = np.zeros((10, 1, 1), dtype=complex)
+        coeffs[9] = 1.0
+        cm = model_from_loop(MatrixLoop(0, coeffs))
+        minimum = decay_min_cells(decay_scale_estimate(cm), cm.hop_range, DEFAULT_TOL)
+        report = edge_modes_truncated(cm)
+        assert minimum == 72
+        assert report.truncation_cells >= minimum
+        assert edge_modes_truncated(cm, cells=report.truncation_cells).edge_index == report.edge_index
 
     @pytest.mark.parametrize(
         "make",
@@ -483,6 +496,45 @@ class TestEdgeModesCompanion:
         report = edge_modes_companion(cm.base, energy=0.15)
         assert report.dim_edge_total == 0
         assert report.dim_ker_pm is None
+
+    def test_singular_leading_hop_at_every_energy(self):
+        # ssh(1, 2) has A_R = [[0, 0], [2, 0]]; the pencil of H - E needs no inverse.
+        base = ssh(1, 2).base
+        assert edge_modes_companion(base, energy=0.5).dim_edge_total == 0
+        assert edge_modes_companion(base, energy=0.0).dim_edge_total == 1
+
+    def test_singular_pencil_refused(self):
+        # H = [[1, lambda], [1/lambda, 1]] has det H = 0 for every lambda.
+        model = build_model(2, 1, np.eye(2), [[[0.0, 1.0], [0.0, 0.0]]])
+        with pytest.raises(GapNotCertified):
+            edge_modes_companion(model, energy=0.0)
+
+    def test_pencil_matches_companion_matrix(self):
+        # With A_R invertible, the companion matrix's decaying sector is the
+        # reference: the Dirichlet dimension of spectral_split's basis_down.
+        def reference(model, energy):
+            down = spectral_split(build_companion(model, energy)).basis_down
+            if down.shape[1] == 0:
+                return 0
+            sv = np.linalg.svd(down[: model.hop_range * model.dim_v], compute_uv=False)
+            return down.shape[1] - int(np.sum(sv > DEFAULT_TOL.kernel))
+
+        rng = np.random.default_rng(5)
+        pairs = [
+            (random_self_adjoint(rng, int(rng.integers(1, 4)), int(rng.integers(1, 4))), float(rng.uniform(-2, 2)))
+            for _ in range(120)
+        ]
+        chiral = random_chiral_ensemble(EnsembleSpec(seed=22, count=20, dim_v=2, hop_range=2, gap_floor=0.1))
+        pairs += [(cm.base, 0.0) for cm in chiral if not has_singular_leading_hop(cm)]
+        totals = []
+        for model, energy in pairs:
+            try:
+                total = edge_modes_companion(model, energy).dim_edge_total
+            except (BorderlineEigenvalue, AmbiguousKernel):
+                continue
+            assert total == reference(model, energy)
+            totals.append(total)
+        assert len(totals) >= 20 and max(totals) >= 1
 
 
 class TestInGapScan:

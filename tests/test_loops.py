@@ -7,7 +7,7 @@ from chiraledge import halfspace, loops
 from chiraledge.config import CERT_GRID_CAP, CERT_GRID_K, CERT_GRID_T, DEFAULT_TOL
 from chiraledge.errors import CertificateFailed, SpectrumOnCriticalLine
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
-from chiraledge.halfspace import _decay_min_cells, decay_scale_estimate, edge_modes_truncated
+from chiraledge.halfspace import decay_min_cells, decay_scale_estimate, edge_modes_truncated
 from chiraledge.loops import (
     Stage,
     _Builder,
@@ -568,7 +568,7 @@ class TestEndpointCheck:
     @staticmethod
     def check(endpoint: MatrixLoop):
         cm = model_from_loop(endpoint)
-        cells = _decay_min_cells(decay_scale_estimate(cm), cm.hop_range, DEFAULT_TOL)
+        cells = decay_min_cells(decay_scale_estimate(cm), cm.hop_range, DEFAULT_TOL)
         short = edge_modes_truncated(cm, cells=cells)
         auto = edge_modes_truncated(cm)
         assert short.truncation_cells == cells < auto.truncation_cells

@@ -10,9 +10,9 @@ from chiraledge.verify import (
     case_to_dict,
     has_singular_leading_hop,
     random_chiral_ensemble,
+    two_band_case,
     verify_bec,
     verify_gap_exclusion,
-    verify_two_band_strong,
 )
 
 
@@ -81,24 +81,25 @@ class TestVerifyBec:
             assert case.verdicts["sandwich"].status == "pass"
 
 
+def strong_form(cm):
+    """two_band_case on verify_bec's gap, winding and edge count, as cli verify runs it."""
+    bec = verify_bec(cm)
+    return two_band_case(cm, bec.gap, bec.winding, bec.edge)
+
+
 class TestTwoBandStrong:
     def test_hop_chain_cases(self):
-        case = verify_two_band_strong(ssh(1, 2))
+        case = strong_form(ssh(1, 2))
         assert case.passed
         assert (case.edge.dim_ker_pm, case.edge.dim_ker_mp) == (1, 0)
-        case = verify_two_band_strong(ssh(2, 1))
+        case = strong_form(ssh(2, 1))
         assert case.passed
         assert (case.edge.dim_ker_pm, case.edge.dim_ker_mp) == (0, 0)
-
-    def test_skips_wider_cells(self):
-        models = random_chiral_ensemble(EnsembleSpec(seed=72, count=2, dim_v=4, hop_range=1, gap_floor=0.05))
-        case = verify_two_band_strong(models[0])
-        assert all(v.status == "skip" for v in case.verdicts.values())
 
     def test_longer_range_ensemble(self):
         models = random_chiral_ensemble(EnsembleSpec(seed=73, count=10, dim_v=2, hop_range=3, gap_floor=0.08))
         for cm in models:
-            case = verify_two_band_strong(cm)
+            case = strong_form(cm)
             assert case.passed, case_to_dict(case)
 
 
