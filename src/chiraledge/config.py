@@ -64,6 +64,15 @@ CERT_GRID_CAP = 2**12
 # The subspace iteration now wins at 96 dimensions too.  The switch stays at
 # 144 because perfbench places its ensemble slots on either side of it
 # (Ensemble._bounds reads it): moving it is a change to the benchmark.
+# Below the switch the dense SVD wins, which is why there are two paths:
+# fastest of 7 calls, one BLAS thread, over ssh(0.5, 1), ssh(1, 0.5) and
+# three seed-7 draws each of (2, 2), (2, 3), (4, 1) and (4, 2), every kernel
+# count equal on both paths:
+#   dimension  8          16         32         64         96         128
+#   dense SVD  0.04-0.06  0.07-0.17  0.16-0.28  0.42-1.08  1.62-2.68  3.07-5.44 ms
+#   subspace   0.53-0.74  0.49-0.91  0.55-0.89  0.52-1.03  0.59-1.49  0.79-1.43 ms
+# The deform endpoint's 8R-cell sections and the 64-cell phase-diagram
+# cells with q = 1 sit on the dense side.
 # The kernel threshold scale smax is the section's largest singular value on
 # the dense path and the symbol's MatrixLoop.norm_bound() on the sparse path;
 # both are valid because a finite section's norm is at most the sup of
