@@ -167,7 +167,6 @@ class CompanionSplit:
     basis_down: np.ndarray
     basis_bloch: np.ndarray
     basis_up: np.ndarray
-    unit_circle_tolerance: float
 
     @property
     def dims(self):
@@ -196,16 +195,16 @@ def spectral_split(cm: CompanionMatrix, tol: Tolerances = DEFAULT_TOL) -> Compan
         basis_down=basis_down,
         basis_bloch=basis_bloch,
         basis_up=basis_up,
-        unit_circle_tolerance=rho,
     )
 
 
-def duality_check(split: CompanionSplit, rel_tol: float = 1e-6) -> bool:
+def duality_check(split: CompanionSplit) -> bool:
     """True iff the eigenvalue multiset is invariant under lambda -> conj(1/lambda).
 
     The symmetry holds for self-adjoint models at real energies.  Clusters are
-    matched pairwise (a cluster on the unit circle may be its own partner);
-    multiplicities of partners must agree exactly.
+    matched pairwise within relative distance 1e-6 (a cluster on the unit
+    circle may be its own partner); multiplicities of partners must agree
+    exactly.
     """
     items = list(split.eigenvalues)
     unmatched = set(range(len(items)))
@@ -217,7 +216,7 @@ def duality_check(split: CompanionSplit, rel_tol: float = 1e-6) -> bool:
         for j in unmatched:
             mu, m_j = items[j]
             dist = abs(mu - target) / max(1.0, abs(mu), abs(target))
-            if dist <= rel_tol and m_j == mult and (best is None or dist < best[0]):
+            if dist <= 1e-6 and m_j == mult and (best is None or dist < best[0]):
                 best = (dist, j)
         if best is None:
             return False

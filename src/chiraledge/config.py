@@ -11,7 +11,8 @@ class Tolerances:
     # Structural checks on input matrices and on the singularity of a recurrence
     # pencil, relative to the largest matrix norm.
     structural: float = 1e-10
-    # Derived identities (adjoint symmetry, recurrence residuals, ...).
+    # Floor below which every cell norm of a propagated mode counts as zero
+    # (companion.decay_rate refuses such a mode).
     identity: float = 1e-9
     # Condition-number cutoff beyond which a hopping matrix counts as singular.
     singular_cond: float = 1e8

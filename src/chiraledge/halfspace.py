@@ -285,10 +285,14 @@ def _truncated_kernel_counts(cm: ChiralModel, cells: int, tol: Tolerances):
 def decay_scale_estimate(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> float:
     """Largest |lambda| < 1 among the zero-energy recurrence eigenvalues, 0 when none.
 
-    The eigenvalues of the full symbol's recurrence pencil are the roots of
-    det h_pm and det h_mp; no invertible leading hop is needed.
+    The eigenvalues of h_pm's recurrence pencil are the roots of det h_pm;
+    h_mp is h_pm's adjoint loop, so its roots are their reciprocals
+    1/conj(mu), and only the moduli matter.  An infinite eigenvalue
+    (singular leading hop) stands for a zero root of det h_mp.  No invertible
+    leading hop is needed.
     """
-    eigs = np.abs(scipy.linalg.eigvals(*recurrence_pencil(cm.base.symbol())))
+    eigs = np.abs(scipy.linalg.eigvals(*recurrence_pencil(cm.symbol("pm"))))
+    eigs = np.concatenate([eigs, 1.0 / eigs[eigs > 0]])
     inside = eigs[eigs < 1.0 - tol.circle_band]
     if len(inside) == 0:
         return 0.0
@@ -452,17 +456,15 @@ def in_gap_scan(
     model: ModelParams,
     cells: int,
     energy_window: tuple,
+    gap: GapReport,
     tol: Tolerances = DEFAULT_TOL,
-    gap: GapReport | None = None,
 ) -> list:
     """All truncated-Hamiltonian eigenvalues in the window, tagged by edge side.
 
     Delocalized hits indicate an insufficient truncation and are reported, not
-    filtered.  The window must sit inside a certified gap.
+    filtered.  The window must sit inside `gap`, a gap certified_gap returned.
     """
     lo, hi = float(energy_window[0]), float(energy_window[1])
-    if gap is None:
-        gap = certified_gap(model, around_energy=0.5 * (lo + hi))
     if not gap.gapped or not (gap.e_minus <= lo and hi <= gap.e_plus):
         raise GapNotCertified(f"window ({lo}, {hi}) is not inside a certified gap")
     trunc = truncate_halfspace(model, cells, tol)

@@ -303,13 +303,7 @@ class _Builder:
         self.active = None
 
 
-def certify_path(
-    stages,
-    tol: Tolerances = DEFAULT_TOL,
-    grid_t: int = CERT_GRID_T,
-    grid_k: int = CERT_GRID_K,
-    grid_cap: int = CERT_GRID_CAP,
-):
+def certify_path(stages, tol: Tolerances = DEFAULT_TOL):
     """Sampled invertibility certificates and per-stage windings.
 
     Singular values are those of the stage's moving block at each grid point
@@ -326,7 +320,9 @@ def certify_path(
     t_start alone.
 
     Returns (certificates, windings, grids), grids holding each stage's final
-    certificate grid (nt, nk), nt = 1 for a stage certified at one t.
+    certificate grid (nt, nk), nt = 1 for a stage certified at one t.  The
+    grid starts at CERT_GRID_T x CERT_GRID_K and doubles up to CERT_GRID_CAP
+    per axis; the windings are integers within tol.winding_integer.
     Raises CertificateFailed when a stage's minimum singular value on its
     refined grid falls below 1e-9 of that bound on its largest (wherever the
     exact largest would refuse, and possibly more), or when the winding of
@@ -341,7 +337,7 @@ def certify_path(
         winding_ts = [stage.t_start] if one_winding else np.linspace(stage.t_start, stage.t_end, 5)
         wanted = {float(t) for t in winding_ts}
         shared = {}  # t -> (grid, det) from the first certificate grid holding t
-        nt, nk = grid_t, grid_k
+        nt, nk = CERT_GRID_T, CERT_GRID_K
         while True:
             ts = [stage.t_start] if one_t else np.linspace(stage.t_start, stage.t_end, nt)
             lams = np.exp(2j * np.pi * np.arange(nk) / nk)
@@ -354,11 +350,11 @@ def certify_path(
                     shared[t] = (lams, np.linalg.det(values) * fixed_det)
             if mn > 1e-9 * mx:
                 break
-            if nt >= grid_cap and nk >= grid_cap:
+            if nt >= CERT_GRID_CAP and nk >= CERT_GRID_CAP:
                 raise CertificateFailed(
                     f"stage '{stage.description}': min singular value {mn:.3e} on refined grid"
                 )
-            nt, nk = min(2 * nt, grid_cap), min(2 * nk, grid_cap)
+            nt, nk = min(2 * nt, CERT_GRID_CAP), min(2 * nk, CERT_GRID_CAP)
         certificates.append(mn)
         grids.append((len(ts), nk))
 
@@ -374,7 +370,7 @@ def certify_path(
                     return dets
                 return np.linalg.det(stage.moving(t, lams)) * stage.fixed(lams)[2]
 
-            w, *_ = winding_of_curve(det_curve, initial_samples=128)
+            w, *_ = winding_of_curve(det_curve, initial_samples=128, integer_tol=tol.winding_integer)
             ws.add(w)
         if len(ws) != 1:
             raise CertificateFailed(

@@ -149,9 +149,9 @@ class MatrixLoop:
         """The loop lambda -> h(1/conj(lambda))*, equal to h(lambda)* on the unit circle."""
         return MatrixLoop(-self.highest_power, _adjoints(self.coeffs[::-1]))
 
-    def trimmed(self, rel_tol: float = 1e-12) -> "MatrixLoop":
+    def trimmed(self) -> "MatrixLoop":
         mags = np.array([np.abs(c).max() for c in self.coeffs])
-        floor = rel_tol * max(float(mags.max()), 1e-300)
+        floor = 1e-12 * max(float(mags.max()), 1e-300)
         nz = np.flatnonzero(mags > floor)
         if len(nz) == 0:
             return MatrixLoop(0, np.zeros((1, self.size, self.size), dtype=complex))
@@ -254,9 +254,6 @@ class ChiralModel:
     @property
     def dim_v(self) -> int:
         return self.base.dim_v
-
-    def gamma(self) -> np.ndarray:
-        return np.diag(self.grading.astype(complex))
 
     def symbol(self, which: str) -> MatrixLoop:
         """Graded block h_pm ("pm") or h_mp ("mp") of H(lambda) as a loop with powers -R..R."""

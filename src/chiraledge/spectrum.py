@@ -78,16 +78,11 @@ def detect_gap(bands: BandStructure, around_energy: float | None = None) -> GapR
     return GapReport(False, j, e_minus, e_plus, margin)
 
 
-def certified_gap(
-    model: ModelParams,
-    around_energy: float | None = None,
-    num_k: int = NUM_K_DEFAULT,
-    num_k_cap: int = NUM_K_CAP,
-) -> GapReport:
-    """detect_gap with adaptive doubling of the k grid; raises if never certified."""
+def certified_gap(model: ModelParams, around_energy: float | None = None) -> GapReport:
+    """detect_gap with the k grid doubled from NUM_K_DEFAULT up to NUM_K_CAP; raises if never certified."""
     report = None
-    n = num_k
-    while n <= num_k_cap:
+    n = NUM_K_DEFAULT
+    while n <= NUM_K_CAP:
         report = detect_gap(band_structure(model, n), around_energy)
         if report.gapped:
             return report

@@ -29,20 +29,15 @@ class WindingResult:
     min_abs_det: float
 
 
-def winding_of_curve(
-    f,
-    initial_samples: int = 512,
-    max_samples: int = WINDING_SAMPLE_CAP,
-    zero_rtol: float = 1e-9,
-    integer_tol: float = 1e-6,
-):
+def winding_of_curve(f, initial_samples: int = 512, integer_tol: float = 1e-6):
     """Winding number of k -> f(e^{ik}) around 0.
 
     `f` must accept an array of unit-circle points and return complex values.
     Intervals whose phase increment reaches pi/2 are bisected until all are
-    safe; raises GapNotCertified when the curve comes within zero_rtol of the
-    origin (relative to its largest magnitude) and NonConvergent at the sample
-    cap or when the summed phase is not an integer multiple of 2*pi.
+    safe; raises GapNotCertified when the curve comes within 1e-9 of the
+    origin (relative to its largest magnitude) and NonConvergent at
+    WINDING_SAMPLE_CAP samples or when the summed phase is not an integer
+    multiple of 2*pi.
 
     Returns (winding, samples_used, min_abs, max_abs).
     """
@@ -53,7 +48,7 @@ def winding_of_curve(
         mags = np.abs(vals)
         amax = float(mags.max())
         amin = float(mags.min())
-        if amin <= zero_rtol * amax:
+        if amin <= 1e-9 * amax:
             raise GapNotCertified(
                 f"determinant magnitude drops to {amin:.3e} (max {amax:.3e}) on the circle"
             )
@@ -61,8 +56,8 @@ def winding_of_curve(
         bad = np.abs(dphi) >= 0.5 * np.pi
         if not bad.any():
             break
-        if len(ks) + int(bad.sum()) > max_samples:
-            raise NonConvergent(f"phase refinement exceeded {max_samples} samples")
+        if len(ks) + int(bad.sum()) > WINDING_SAMPLE_CAP:
+            raise NonConvergent(f"phase refinement exceeded {WINDING_SAMPLE_CAP} samples")
         k_next = np.roll(ks, -1)
         k_next[-1] += 2.0 * np.pi
         mids = 0.5 * (ks[bad] + k_next[bad])

@@ -2,12 +2,13 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.lapack
 import scipy.sparse.linalg
 from hypothesis import assume, example, given, strategies as st
 
 from chiraledge import halfspace
-from chiraledge.companion import build_companion, propagate, spectral_split
+from chiraledge.companion import build_companion, propagate, recurrence_pencil, spectral_split
 from chiraledge.config import DEFAULT_TOL
 from chiraledge.errors import (
     AmbiguousKernel,
@@ -29,6 +30,7 @@ from chiraledge.halfspace import (
 )
 from chiraledge.loops import diagonal_monomials, model_from_loop
 from chiraledge.models import ChiralModel, MatrixLoop, ModelParams, build_model
+from chiraledge.spectrum import certified_gap
 from chiraledge.verify import EnsembleSpec, has_singular_leading_hop, random_chiral_ensemble
 
 from det_poly_fit import block_det_poly_roots
@@ -160,6 +162,24 @@ class TestDecayScaleEstimate:
             inside = roots[roots < 1.0]
             expected = float(inside.max()) if len(inside) else 0.0
             assert decay_scale_estimate(cm) == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_the_full_symbol_pencil(self):
+        # Reference: the full symbol's recurrence pencil, twice the size, whose
+        # eigenvalues are the roots of det h_pm and det h_mp together.  The
+        # defective family's double root moves at the 1e-8 level; the
+        # truncation size read from the estimate does not.
+        models = [ssh(1, 2), ssh(0.97, 1), dimerized_plus(), dimerized_trivial()]
+        models += [defective(theta) for theta in (0.0, 0.5, 2.0)]
+        for d, r in ((2, 1), (2, 3), (4, 2)):
+            models += random_chiral_ensemble(EnsembleSpec(seed=8, count=10, dim_v=d, hop_range=r))
+        for cm in models:
+            eigs = np.abs(scipy.linalg.eigvals(*recurrence_pencil(cm.base.symbol())))
+            inside = eigs[eigs < 1.0 - DEFAULT_TOL.circle_band]
+            reference = float(inside.max()) if len(inside) else 0.0
+            estimate = decay_scale_estimate(cm)
+            assert estimate == pytest.approx(reference, rel=1e-7, abs=1e-14)
+            cells = decay_min_cells(estimate, cm.hop_range, DEFAULT_TOL)
+            assert cells == decay_min_cells(reference, cm.hop_range, DEFAULT_TOL)
 
     @pytest.mark.parametrize(
         "powers", [[1, 1, -1], [1, 1, -1, 0], [1, -1, -1, 0, 0], [1, 1, 1, 1, -1, -1, -1, 0]]
@@ -539,22 +559,24 @@ class TestEdgeModesCompanion:
 
 class TestInGapScan:
     def test_dimerized_hits(self):
-        hits = in_gap_scan(dimerized_plus().base, 16, (-0.9, 0.9))
+        base = dimerized_plus().base
+        hits = in_gap_scan(base, 16, (-0.9, 0.9), certified_gap(base, 0.0))
         assert [h.side for h in hits] == ["left", "right"]
         assert all(abs(h.energy) < 1e-12 for h in hits)
 
     def test_trivial_is_empty(self):
-        assert in_gap_scan(dimerized_trivial().base, 16, (-0.9, 0.9)) == []
+        base = dimerized_trivial().base
+        assert in_gap_scan(base, 16, (-0.9, 0.9), certified_gap(base, 0.0)) == []
 
     def test_window_must_be_certified(self):
+        # The bands of the dimerized limit sit at +-1.
+        base = dimerized_plus().base
         with pytest.raises(GapNotCertified):
-            in_gap_scan(dimerized_plus().base, 16, (-1.5, 1.5))
+            in_gap_scan(base, 16, (-1.5, 1.5), certified_gap(base, 0.0))
 
     def test_chiral_pairing(self):
         models = random_chiral_ensemble(EnsembleSpec(seed=5, count=10, dim_v=2, hop_range=2, gap_floor=0.2))
         for cm in models:
-            from chiraledge.spectrum import certified_gap
-
             gap = certified_gap(cm.base, 0.0)
             delta = 0.02 * (gap.e_plus - gap.e_minus)
             hits = in_gap_scan(cm.base, 60, (gap.e_minus + delta, gap.e_plus - delta), gap=gap)

@@ -411,16 +411,17 @@ class TestCertifyPath:
         monkeypatch.undo()
         assert 0 < sum(decomposed) <= 0.35 * points
 
-    def test_singular_stage_refused_at_the_grid_cap(self):
+    def test_singular_stage_refused_at_the_grid_cap(self, monkeypatch):
         # Exactly 0 at t_start on every grid: the batched inverse fails, every
         # block is decomposed, and the grid refines to its cap.
         def evaluate(t, lams):
             return (t * lams)[:, None, None]
 
+        monkeypatch.setattr(loops, "CERT_GRID_CAP", 36)
         with pytest.raises(CertificateFailed, match="min singular value 0.000e"):
-            certify_path([Stage("zero at t_start", 0.0, 1.0, evaluate, 1)], grid_cap=36)
+            certify_path([Stage("zero at t_start", 0.0, 1.0, evaluate, 1)])
 
-    def test_sigma_max_bound_is_stricter(self):
+    def test_sigma_max_bound_is_stricter(self, monkeypatch):
         # sigma_min / sigma_max = 1.5e-9 passes the exact rule, but the
         # Frobenius norm sqrt(3) bounds sigma_max from above, and
         # 1.5e-9 < 1e-9 sqrt(3): the stage refines to the cap and is refused.
@@ -431,8 +432,21 @@ class TestCertifyPath:
 
         stage = Stage("diag(1, 1, 1, 1.5e-9)", 0.0, 1.0, evaluate, 4)
         assert reference_certify_path([stage], grid_cap=36) == ([1.5e-9], [0])
+        monkeypatch.setattr(loops, "CERT_GRID_CAP", 36)
         with pytest.raises(CertificateFailed, match="min singular value 1.500e-09"):
-            certify_path([stage], grid_cap=36)
+            certify_path([stage])
+
+    def test_windings_use_the_integer_tolerance(self, monkeypatch):
+        stages = full_deformation(ssh(0.5, 1)).stages
+        seen = []
+
+        def spy(f, initial_samples=512, integer_tol=1e-6):
+            seen.append(integer_tol)
+            return winding_of_curve(f, initial_samples, integer_tol)
+
+        monkeypatch.setattr(loops, "winding_of_curve", spy)
+        certify_path(stages, DEFAULT_TOL.replace(winding_integer=1e-3))
+        assert seen and set(seen) == {1e-3}
 
     def test_det_fixed_in_t_stages_wound_once(self, monkeypatch):
         paths = [full_deformation(cm).stages for cm in certified_symbols()]

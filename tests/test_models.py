@@ -194,7 +194,7 @@ class TestBloch:
 
     def test_chiral_anticommutation_exact(self):
         cm = defective(1.1)
-        gamma = cm.gamma()
+        gamma = np.diag(cm.grading.astype(complex))
         h = cm.base.symbol()(0.6 + 0.1j)
         assert np.array_equal(gamma @ h @ gamma, -h)
 

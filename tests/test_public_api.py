@@ -5,6 +5,7 @@ import chiraledge
 
 PACKAGE = Path(chiraledge.__file__).parent
 SCRIPTS = PACKAGE.parents[1] / "scripts"
+PERFBENCH = PACKAGE.parents[1] / "perfbench"
 
 # Exported names that no module or script calls, each with the reason it stays.
 ALLOWED_UNREFERENCED = {
@@ -43,3 +44,72 @@ def test_every_export_has_a_production_caller():
     unused = sorted(exported - used - set(ALLOWED_UNREFERENCED))
     assert not unused, f"exported but used only by tests: {unused}"
     assert set(ALLOWED_UNREFERENCED) <= exported
+
+
+# Defaulted parameters that no call in src/, scripts/ or perfbench/ passes,
+# each with the reason it stays.
+ALLOWED_UNSET = {
+    "save_model.grading": "the writer's counterpart of the grading load_model reads back",
+    "defective.scale": "fixture parameters are passed by name through fixture() and the phase-diagram families",
+}
+
+
+def _public_defaults(tree: ast.Module):
+    """(qualified name, callee name, parameter, positional index or None) per defaulted parameter.
+
+    Module-level functions and the methods of module-level classes, both
+    public; the index counts call arguments, so a method's self is skipped.
+    """
+    functions = [(n.name, n, 0) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for n in cls.body:
+                if isinstance(n, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in n.decorator_list)
+                    functions.append((f"{cls.name}.{n.name}", n, 0 if static else 1))
+    for qualified, fn, skip in functions:
+        if fn.name.startswith("_"):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        for index, arg in enumerate(positional[first:], start=first):
+            yield qualified, fn.name, arg.arg, index - skip
+        for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+            if default is not None:
+                yield qualified, fn.name, arg.arg, None
+
+
+def _calls_by_name(paths) -> dict:
+    calls = {}
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    return calls
+
+
+def _passes(call: ast.Call, parameter: str, index) -> bool:
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+        return True
+    if index is None:
+        return False
+    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def test_every_defaulted_parameter_has_a_production_setter():
+    # An option that no caller sets is a configuration nobody runs.  A call
+    # sets a parameter by keyword, by position, or through ** (which counts
+    # for every name); calls are matched by the callee's name.  tol is exempt:
+    # every Tolerances field is overridable from the CLI.
+    calls = _calls_by_name([*PACKAGE.glob("*.py"), *SCRIPTS.glob("*.py"), *PERFBENCH.glob("*.py")])
+    defaults = [d for path in PACKAGE.glob("*.py") for d in _public_defaults(ast.parse(path.read_text()))]
+    unset = {
+        f"{qualified}.{parameter}"
+        for qualified, callee, parameter, index in defaults
+        if parameter != "tol" and not any(_passes(c, parameter, index) for c in calls.get(callee, []))
+    }
+    unused = sorted(unset - set(ALLOWED_UNSET))
+    assert not unused, f"defaulted but set only by tests: {unused}"
+    assert set(ALLOWED_UNSET) <= unset

@@ -11,7 +11,6 @@ from chiraledge.spectrum import (
     chiral_gap_margin,
     detect_gap,
 )
-from chiraledge.verify import EnsembleSpec, random_chiral_ensemble
 
 
 class TestBandStructure:
@@ -65,7 +64,7 @@ class TestDetectGap:
 
     def test_certified_gap_raises_when_gapless(self):
         with pytest.raises(GapNotCertified):
-            certified_gap(ssh(1.0, 1.0).base, around_energy=0.0, num_k_cap=2048)
+            certified_gap(ssh(1.0, 1.0).base, around_energy=0.0)
 
     @given(seed=st.integers(0, 10_000))
     def test_refinement_keeps_certificates(self, seed):
@@ -89,8 +88,6 @@ class TestChiralGapMargin:
         # samples have no minimum.
         with pytest.raises(ValueError, match="num_k must be at least 8"):
             chiral_gap_margin(ssh(1, 2), num_k)
-        with pytest.raises(ValueError, match="num_k must be at least 8"):
-            random_chiral_ensemble(EnsembleSpec(seed=1, count=1, dim_v=2, hop_range=1), num_k=num_k)
 
     @given(
         t1=st.floats(0.1, 2.0),

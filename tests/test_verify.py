@@ -105,21 +105,38 @@ class TestTwoBandStrong:
 
 class TestGapExclusion:
     def test_defective_family(self):
-        case = verify_gap_exclusion(defective(0.9), cells=80)
+        case = verify_gap_exclusion(defective(0.9))
         assert case.passed
         details = case.verdicts["zero_confinement"].details
-        assert all(abs(e) < 1e-8 for e in details["left_energies"])
+        assert details["cells"] == 100
+        assert all(abs(e) < 1e-8 for e in details["checked_energies"])
 
     def test_hypothesis_gating(self):
         models = random_chiral_ensemble(EnsembleSpec(seed=74, count=1, dim_v=2, hop_range=2, gap_floor=0.1))
-        case = verify_gap_exclusion(models[0], cells=60)
+        case = verify_gap_exclusion(models[0])
         assert case.verdicts["zero_confinement"].status == "skip"
 
     def test_nearest_neighbour_ensemble(self):
         models = random_chiral_ensemble(EnsembleSpec(seed=76, count=20, dim_v=2, hop_range=1, gap_floor=0.2))
         for cm in models:
-            case = verify_gap_exclusion(cm, cells=80)
+            case = verify_gap_exclusion(cm)
             assert case.passed, case_to_dict(case)
+
+    def test_hybridized_pair_is_checked(self):
+        # ssh(0.9, 1) decays slowly: on 100 cells the two edge modes hybridize
+        # into a +-5e-6 pair spread over both edges, so no hit is "left".
+        verdict = verify_gap_exclusion(ssh(0.9, 1)).verdicts["zero_confinement"]
+        assert verdict.status == "pass"
+        energies = verdict.details["checked_energies"]
+        assert len(energies) == 2 and all(1e-6 < abs(e) < 1e-5 for e in energies)
+        assert verdict.details["eps_n"] > max(abs(e) for e in energies)
+
+    def test_splitting_wider_than_the_window_skips(self):
+        # ssh(0.97, 1): eps_n = 10 q^100 ~ 0.48 exceeds the whole gap (-0.03, 0.03).
+        verdict = verify_gap_exclusion(ssh(0.97, 1)).verdicts["zero_confinement"]
+        assert verdict.status == "skip"
+        assert verdict.details["eps_n"] > 0.4
+        assert "checked_energies" not in verdict.details
 
 
 class TestPerturbationRobustness:
