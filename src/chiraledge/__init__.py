@@ -44,6 +44,7 @@ from .spectrum import (
     GapReport,
     band_structure,
     certified_gap,
+    chiral_gap,
     chiral_gap_margin,
     detect_gap,
 )

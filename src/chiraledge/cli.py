@@ -41,7 +41,8 @@ from .models import (
     load_model,
     model_to_dict,
 )
-from .spectrum import band_structure, certified_gap, chiral_gap_margin, detect_gap
+# chiral_gap_margin is unused here but stays importable: perfbench/spans.py wraps it.
+from .spectrum import band_structure, certified_gap, chiral_gap, chiral_gap_margin, detect_gap
 from .verify import (
     EnsembleSpec,
     case_to_dict,
@@ -499,9 +500,11 @@ def _cmd_phase_diagram(args, tol) -> int:
     for v1 in np.linspace(lo1, hi1, n1):
         for v2 in np.linspace(lo2, hi2, n2):
             cm = builder(**{name1: float(v1), name2: float(v2)})
-            margin = chiral_gap_margin(cm, 256)
+            # A cell whose zero-energy gap does not certify gets empty fields;
+            # gap_margin is the sampled sigma_min of the last grid either way.
+            gap = chiral_gap(cm)
             winding = edge = ""
-            if margin > 1e-9:
+            if gap.gapped:
                 try:
                     winding = full_winding(cm, tol=tol).winding
                 except ChiralEdgeError:
@@ -509,10 +512,10 @@ def _cmd_phase_diagram(args, tol) -> int:
                 try:
                     # Auto cells refuse (empty field) when the decay is too
                     # slow to resolve the kernel, rather than undercounting.
-                    edge = edge_modes_truncated(cm, cells=args.cells, tol=tol).edge_index
+                    edge = edge_modes_truncated(cm, cells=args.cells, tol=tol, gap=gap).edge_index
                 except ChiralEdgeError:
                     edge = ""
-            rows.append([v1, v2, winding, edge, margin])
+            rows.append([v1, v2, winding, edge, gap.e_plus])
     meta = _meta(raw, args.seed, tol, {"grid": args.grid, "cells": args.cells, "family": doc["family"]})
     _emit_csv([name1, name2, "winding", "edge_index", "gap_margin"], rows, meta, args.out)
     return 0

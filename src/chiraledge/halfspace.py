@@ -51,7 +51,8 @@ from .errors import (
 )
 # build_model is unused here but stays importable: perfbench/spans.py wraps it.
 from .models import ChiralModel, MatrixLoop, ModelParams, build_model
-from .spectrum import GapReport, certified_gap
+# certified_gap is unused here but stays importable: perfbench/spans.py wraps it.
+from .spectrum import GapReport, certified_gap, chiral_gap
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +319,8 @@ def edge_modes_truncated(
 ) -> EdgeReport:
     """Kernel dimensions of the truncated graded blocks at zero energy, left-localized only.
 
-    Works for singular A_R.  The gap around 0 must be certified.  With
+    Works for singular A_R.  The gap around 0 must be certified; by default
+    chiral_gap certifies it.  With
     cells=None the truncation size is max(CELLS_MIN_DEFAULT, the decay minimum)
     and ambiguous singular values trigger automatic refinement; with an
     explicit cells they raise AmbiguousKernel instead.  An explicit cells
@@ -329,7 +331,7 @@ def edge_modes_truncated(
     if not cm.balanced:
         raise UnbalancedGrading("edge index needs balanced graded components")
     if gap is None:
-        gap = certified_gap(cm.base, around_energy=0.0)
+        gap = chiral_gap(cm)
     if not gap.gapped or not (gap.e_minus < 0.0 < gap.e_plus):
         raise GapNotCertified("no certified gap around energy 0.0")
 
@@ -462,7 +464,8 @@ def in_gap_scan(
     """All truncated-Hamiltonian eigenvalues in the window, tagged by edge side.
 
     Delocalized hits indicate an insufficient truncation and are reported, not
-    filtered.  The window must sit inside `gap`, a gap certified_gap returned.
+    filtered.  The window must sit inside `gap`, a certified gap from
+    certified_gap or chiral_gap.
     """
     lo, hi = float(energy_window[0]), float(energy_window[1])
     if not gap.gapped or not (gap.e_minus <= lo and hi <= gap.e_plus):

@@ -46,6 +46,15 @@ def _adjoints(planes: np.ndarray) -> np.ndarray:
     return np.conj(np.transpose(planes, (0, 2, 1)))
 
 
+def unit_circle(num_k: int) -> np.ndarray:
+    """e^{ik} on the uniform grid k = -pi + 2 pi j / num_k, j = 0..num_k - 1.
+
+    Doubling num_k keeps every sample bit for bit (scaling by 2 is exact),
+    so a finer grid's minimum never exceeds a coarser one's.
+    """
+    return np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(num_k) / num_k))
+
+
 def numerically_singular(m: np.ndarray, tol: Tolerances) -> bool:
     """True when a square matrix is exactly singular or its condition number exceeds tol.singular_cond."""
     sv = np.linalg.svd(m, compute_uv=False)
@@ -62,11 +71,19 @@ def least_singular_value(blocks: np.ndarray, cutoff: float = np.inf) -> float:
     one SVD of the rest.  The slack covers the bound's rounding, at most
     n kappa eps, for kappa below 1e9.  An exactly singular block makes the
     inverse fail, and then every block is decomposed; so is every block whose
-    ||M^-1||_F is below 1e-150, where its squared entries may underflow.
+    ||M^-1||_F is below 1e-150, where its squared entries may underflow.  For
+    1 x 1 blocks ||M^-1||_F is 1/|h|, with no inverse taken; a zero entry is
+    decomposed with every block, as a failed inverse is.
     """
-    try:
-        inv_norm = np.linalg.norm(np.linalg.inv(blocks), axis=(1, 2))
-    except np.linalg.LinAlgError:
+    if blocks.shape[1] == 1:
+        mags = np.abs(blocks[:, 0, 0])
+        inv_norm = 1.0 / mags if mags.all() else None
+    else:
+        try:
+            inv_norm = np.linalg.norm(np.linalg.inv(blocks), axis=(1, 2))
+        except np.linalg.LinAlgError:
+            inv_norm = None
+    if inv_norm is None:
         return min(cutoff, float(np.linalg.svd(blocks, compute_uv=False)[:, -1].min()))
     anchor = int(np.argmax(inv_norm))
     c = min(cutoff, float(np.linalg.svd(blocks[anchor : anchor + 1], compute_uv=False)[0, -1]))
@@ -141,9 +158,19 @@ class MatrixLoop:
         lipschitz_bound() * pi / NUM_K_DEFAULT: every point of the circle lies
         within half a grid step of a sample, the argument detect_gap uses.
         """
-        ks = -np.pi + 2.0 * np.pi * np.arange(NUM_K_DEFAULT) / NUM_K_DEFAULT
-        sampled = largest_singular_value(self.eval_many(np.exp(1j * ks)))
+        sampled = largest_singular_value(self.eval_many(unit_circle(NUM_K_DEFAULT)))
         return sampled + self.lipschitz_bound() * np.pi / NUM_K_DEFAULT
+
+    def min_singular_bound(self, num_k: int) -> tuple[float, float]:
+        """(sampled, bound): the mirror of norm_bound for the inf of sigma_min(h(lambda)) over |lambda| = 1.
+
+        sampled is sigma_min's minimum on the uniform num_k grid and bound is
+        sampled - lipschitz_bound() * pi / num_k, a lower bound on that inf:
+        by Weyl's inequality sigma_min moves no faster in k than h itself, and
+        every point of the circle lies within half a grid step of a sample.
+        """
+        sampled = least_singular_value(self.eval_many(unit_circle(num_k)))
+        return sampled, sampled - self.lipschitz_bound() * np.pi / num_k
 
     def adjoint(self) -> "MatrixLoop":
         """The loop lambda -> h(1/conj(lambda))*, equal to h(lambda)* on the unit circle."""

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import NUM_K_CAP, NUM_K_DEFAULT
 from .errors import GapNotCertified, NotSelfAdjoint, UnbalancedGrading
-from .models import ChiralModel, ModelParams, least_singular_value
+from .models import ChiralModel, ModelParams, least_singular_value, unit_circle
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,16 +96,37 @@ def certified_gap(model: ModelParams, around_energy: float | None = None) -> Gap
     )
 
 
-def chiral_gap_margin(cm: ChiralModel, num_k: int = NUM_K_DEFAULT) -> float:
-    """Smallest singular value of h_pm(e^{ik}) over the num_k sampled momenta.
+def chiral_gap(cm: ChiralModel) -> GapReport:
+    """The zero-energy gap of a balanced chiral model, certified from h_pm alone.
+
+    H(e^{ik}) has the spectrum +-sigma(h_pm(e^{ik})), so the gap around 0 is
+    (-sigma_min, sigma_min) and h_pm's MatrixLoop.min_singular_bound
+    certifies it; h_pm's Lipschitz constant never exceeds H's.  The k grid
+    doubles from NUM_K_DEFAULT up to NUM_K_CAP until the bound is positive.
+    e_minus and e_plus are -+ the sampled sigma_min of the last grid and
+    certificate_margin is twice the bound, so gapped is False when it is not
+    positive, as in detect_gap.  Refinement stops early when the sampled
+    sigma_min is at most lipschitz * pi / NUM_K_CAP: a finer grid holds these
+    samples, so its bound cannot be positive.
+    """
+    if not cm.balanced:
+        raise UnbalancedGrading("zero-energy gap needs a square h_pm block")
+    h_pm = cm.symbol("pm")
+    n = NUM_K_DEFAULT
+    while True:
+        sampled, bound = h_pm.min_singular_bound(n)
+        if bound > 0 or n >= NUM_K_CAP or sampled <= h_pm.lipschitz_bound() * np.pi / NUM_K_CAP:
+            return GapReport(bool(bound > 0), cm.dim_plus - 1, -sampled, sampled, 2.0 * bound)
+        n *= 2
+
+
+def chiral_gap_margin(cm: ChiralModel) -> float:
+    """Smallest singular value of h_pm(e^{ik}) over the NUM_K_DEFAULT sampled momenta.
 
     A sampled minimum: a positive value certifies nothing, since sigma_min may
-    dip to 0 between samples.  certified_gap(cm.base, around_energy=0.0)
-    certifies the zero-energy gap against the sampling error.
+    dip to 0 between samples.  chiral_gap(cm) certifies the zero-energy gap
+    against the sampling error.
     """
     if not cm.balanced:
         raise UnbalancedGrading("gap margin at zero energy needs a square h_pm block")
-    if num_k < 8:
-        raise ValueError(f"num_k must be at least 8, got {num_k}")
-    ks = -np.pi + 2.0 * np.pi * np.arange(num_k) / num_k
-    return least_singular_value(cm.symbol("pm").eval_many(np.exp(1j * ks)))
+    return least_singular_value(cm.symbol("pm").eval_many(unit_circle(NUM_K_DEFAULT)))

@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .config import DEFAULT_TOL, SINGULAR_DRAW_FRACTION, Tolerances
-from .errors import ExhaustedRedraws
+from .errors import ExhaustedRedraws, GapNotCertified
 from .halfspace import (
     EdgeReport,
     decay_scale_estimate,
@@ -22,7 +22,8 @@ from .halfspace import (
     in_gap_scan,
 )
 from .models import ChiralModel, build_model, chiral_split, numerically_singular
-from .spectrum import GapReport, certified_gap, chiral_gap_margin
+# certified_gap is unused here but stays importable: perfbench/spans.py wraps it.
+from .spectrum import GapReport, certified_gap, chiral_gap, chiral_gap_margin
 from .winding import WindingResult, full_winding
 
 
@@ -63,6 +64,14 @@ def case_to_dict(case: VerificationCase) -> dict:
     return out
 
 
+def _zero_energy_gap(cm: ChiralModel) -> GapReport:
+    """chiral_gap(cm), refused (GapNotCertified) when it does not certify."""
+    gap = chiral_gap(cm)
+    if not gap.gapped:
+        raise GapNotCertified(f"no certified gap around 0.0; best margin {gap.certificate_margin:.3e}")
+    return gap
+
+
 def verify_bec(cm: ChiralModel, cells: int | None = None, tol: Tolerances = DEFAULT_TOL) -> VerificationCase:
     """Index equality between the bulk winding and the half-space edge index.
 
@@ -70,7 +79,7 @@ def verify_bec(cm: ChiralModel, cells: int | None = None, tol: Tolerances = DEFA
     agree, singular leading hops included; the counting inequalities bound the
     kernel dimensions by the graded decaying dimensions.
     """
-    gap = certified_gap(cm.base, around_energy=0.0)
+    gap = _zero_energy_gap(cm)
     winding = full_winding(cm, tol=tol)
     edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gap)
     edge_c = edge_modes_companion(cm, 0.0, tol)
@@ -157,7 +166,7 @@ def verify_gap_exclusion(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Veri
             verdicts={"zero_confinement": Verdict("skip", dict(reason))},
         )
     cells = 100
-    gap = certified_gap(cm.base, around_energy=0.0)
+    gap = _zero_energy_gap(cm)
     delta = 0.05 * (gap.e_plus - gap.e_minus)
     window = (gap.e_minus + delta, gap.e_plus - delta)
     q = decay_scale_estimate(cm, tol)
@@ -190,8 +199,9 @@ class EnsembleSpec:
 def random_chiral_ensemble(spec: EnsembleSpec, tol: Tolerances = DEFAULT_TOL) -> list:
     """Reproducible gapped graded models with complex-Gaussian blocks.
 
-    Draws are redrawn until the sampled zero-energy gap margin reaches the
-    floor; a fixed fraction of the models gets the last column of its leading
+    Draws are redrawn until the sampled zero-energy gap margin
+    (chiral_gap_margin, not certified) reaches the floor; verify_bec
+    certifies each model's gap itself.  A fixed fraction of the models gets the last column of its leading
     lower-left hop block zeroed to exercise the singular route.
     """
     if spec.dim_v % 2 or spec.dim_v < 2:

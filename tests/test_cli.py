@@ -230,6 +230,29 @@ class TestPhaseDiagram:
                 assert w == expected and edge == expected
 
 
+    def test_uncertified_cell_left_empty(self, capsys, tmp_path):
+        # sigma_min = 2e-6 is sampled at k = -pi, but no grid up to NUM_K_CAP
+        # certifies it: neither the winding nor the edge index is reported.
+        family = tmp_path / "fam.json"
+        family.write_text(
+            json.dumps(
+                {
+                    "family": "ssh",
+                    "param1": {"name": "t1", "min": 1.0, "max": 1.0},
+                    "param2": {"name": "t2", "min": 1.000002, "max": 1.000002},
+                }
+            )
+        )
+        out_csv = tmp_path / "pd.csv"
+        code, _, _ = run(capsys, "phase-diagram", str(family), "--grid", "1x1", "--out", str(out_csv))
+        assert code == 0
+        rows = [l.split(",") for l in out_csv.read_text().splitlines() if not l.startswith("#")][1:]
+        assert len(rows) == 1
+        _, _, winding, edge, margin = rows[0]
+        assert (winding, edge) == ("", "")
+        assert float(margin) == pytest.approx(2e-6, rel=1e-6)
+
+
 class TestErrorsAndDeterminism:
     @pytest.mark.parametrize(
         "flag",

@@ -488,6 +488,15 @@ class TestLeastSingularValue:
             for cutoff in (np.inf, exact, 0.5 * exact):
                 assert least_singular_value(stack, cutoff) == self.full_minimum(stack, cutoff)
 
+    def test_exactly_zero_scalar_block(self):
+        # A zero entry has no inverse norm, so every block is decomposed.
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            stack = np.exp(2j * np.pi * rng.random(64))[:, None, None]
+            stack[rng.integers(64)] = 0.0
+            for cutoff in (np.inf, 0.5):
+                assert least_singular_value(stack, cutoff) == self.full_minimum(stack, cutoff) == 0.0
+
 
 def deformation_stages():
     """Every stage of full_deformation on certified_symbols() and deformed_models()."""
@@ -598,12 +607,12 @@ class TestEndpointCheck:
         # The endpoint's modes decay at once: full_deformation sizes its
         # section at 8R cells, and only edge_modes_truncated's check of that
         # size runs a decay estimate.  Its bands sit at exactly -1 and 1, so
-        # its gap is passed in, not certified from a band structure.
+        # its gap is passed in, not certified by chiral_gap.
         cm = deformed_models()[index]
         estimates, reports, gaps = [], [], []
         monkeypatch.setattr(halfspace, "decay_scale_estimate", recording(halfspace.decay_scale_estimate, estimates))
         monkeypatch.setattr(halfspace, "edge_modes_truncated", recording(halfspace.edge_modes_truncated, reports))
-        monkeypatch.setattr(halfspace, "certified_gap", recording(halfspace.certified_gap, gaps))
+        monkeypatch.setattr(halfspace, "chiral_gap", recording(halfspace.chiral_gap, gaps))
         path = full_deformation(cm)
         monkeypatch.undo()
         assert len(estimates) == 1

@@ -391,6 +391,12 @@ def reference_norm_bound(loop: MatrixLoop) -> float:
     return float(sampled) + reference_lipschitz_bound(loop) * np.pi / NUM_K_DEFAULT
 
 
+def reference_min_singular_bound(loop: MatrixLoop, num_k: int) -> tuple:
+    ks = -np.pi + 2.0 * np.pi * np.arange(num_k) / num_k
+    sampled = float(np.linalg.svd(loop.eval_many(np.exp(1j * ks)), compute_uv=False)[:, -1].min())
+    return sampled, sampled - reference_lipschitz_bound(loop) * np.pi / num_k
+
+
 def reference_norm_scale(model: ModelParams) -> float:
     return max(1.0, *(np.linalg.norm(c, 2) for c in (model.on_site, *model.right_hops, *model.left_hops)))
 
@@ -401,11 +407,12 @@ class TestPrunedExtremesMatchFullSVD:
         models = random_chiral_ensemble(EnsembleSpec(seed=41, count=12, dim_v=dim_v, hop_range=hop_range))
         assert any(has_singular_leading_hop(cm) for cm in models)
         for cm in models:
-            for num_k in (256, NUM_K_DEFAULT):
-                assert chiral_gap_margin(cm, num_k) == reference_gap_margin(cm, num_k)
+            assert chiral_gap_margin(cm) == reference_gap_margin(cm, NUM_K_DEFAULT)
             for loop in (cm.symbol("pm"), cm.symbol("mp"), cm.base.symbol()):
                 assert loop.lipschitz_bound() == reference_lipschitz_bound(loop)
                 assert loop.norm_bound() == reference_norm_bound(loop)
+                for num_k in (256, NUM_K_DEFAULT):
+                    assert loop.min_singular_bound(num_k) == reference_min_singular_bound(loop, num_k)
             assert cm.base.norm_scale == reference_norm_scale(cm.base)
 
 

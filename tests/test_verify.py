@@ -28,7 +28,7 @@ class TestEnsemble:
     def test_gap_floor_respected(self):
         spec = EnsembleSpec(seed=2, count=10, dim_v=2, hop_range=1, gap_floor=0.1)
         for cm in random_chiral_ensemble(spec):
-            assert chiral_gap_margin(cm, 512) >= 0.1
+            assert chiral_gap_margin(cm) >= 0.1
 
     def test_singular_fraction(self):
         spec = EnsembleSpec(seed=3, count=1000, dim_v=2, hop_range=1, gap_floor=0.01)
@@ -156,7 +156,7 @@ class TestPerturbationRobustness:
             perturbed = chiral_split(
                 build_model(d, cm.hop_range, on_site, hops), cm.grading
             )
-            if chiral_gap_margin(perturbed, 512) < floor:
+            if chiral_gap_margin(perturbed) < floor:
                 continue
             case = verify_bec(perturbed)
             assert case.winding.winding == ref.winding.winding
