@@ -116,7 +116,7 @@ def chiral_gap(cm: ChiralModel) -> GapReport:
     while True:
         sampled, bound = h_pm.min_singular_bound(n)
         if bound > 0 or n >= NUM_K_CAP or sampled <= h_pm.lipschitz_bound() * np.pi / NUM_K_CAP:
-            return GapReport(bool(bound > 0), cm.dim_plus - 1, -sampled, sampled, 2.0 * bound)
+            return GapReport(bound > 0, cm.dim_plus - 1, -sampled, sampled, 2.0 * bound)
         n *= 2
 
 

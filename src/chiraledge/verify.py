@@ -77,7 +77,9 @@ def verify_bec(cm: ChiralModel, cells: int | None = None, tol: Tolerances = DEFA
 
     The truncated route provides the edge side and the companion route must
     agree, singular leading hops included; the counting inequalities bound the
-    kernel dimensions by the graded decaying dimensions.
+    kernel dimensions by the graded decaying dimensions.  The zero-energy gap
+    is certified from h_pm (chiral_gap) first, and an uncertified gap raises
+    GapNotCertified before anything is wound.
     """
     gap = _zero_energy_gap(cm)
     winding = full_winding(cm, tol=tol)
@@ -201,8 +203,9 @@ def random_chiral_ensemble(spec: EnsembleSpec, tol: Tolerances = DEFAULT_TOL) ->
 
     Draws are redrawn until the sampled zero-energy gap margin
     (chiral_gap_margin, not certified) reaches the floor; verify_bec
-    certifies each model's gap itself.  A fixed fraction of the models gets the last column of its leading
-    lower-left hop block zeroed to exercise the singular route.
+    certifies each model's gap itself.  A fixed fraction of the models gets
+    the last column of its leading lower-left hop block zeroed to exercise
+    the singular route.
     """
     if spec.dim_v % 2 or spec.dim_v < 2:
         raise ValueError("ensemble models need an even, positive dim_v")
