@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from chiraledge.errors import ExhaustedRedraws
+from chiraledge import verify
+from chiraledge.errors import ExhaustedRedraws, GapNotCertified
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
 from chiraledge.models import build_model, chiral_split
 from chiraledge.spectrum import chiral_gap_margin
@@ -85,6 +86,21 @@ def strong_form(cm):
     """two_band_case on verify_bec's gap, winding and edge count, as cli verify runs it."""
     bec = verify_bec(cm)
     return two_band_case(cm, bec.gap, bec.winding, bec.edge)
+
+
+class TestUncertifiedGap:
+    # sigma_min = 2e-6 is sampled, but no grid up to NUM_K_CAP certifies it.
+    def test_verify_bec_refuses_before_winding(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("wound a model whose gap is not certified")
+
+        monkeypatch.setattr(verify, "full_winding", never)
+        with pytest.raises(GapNotCertified):
+            verify_bec(ssh(1.0, 1.000002))
+
+    def test_gap_exclusion_refuses(self):
+        with pytest.raises(GapNotCertified):
+            verify_gap_exclusion(ssh(1.0, 1.000002))
 
 
 class TestTwoBandStrong:
