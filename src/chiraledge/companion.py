@@ -65,14 +65,16 @@ def recurrence_pencil(symbol: MatrixLoop) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def decaying_sector(symbol: MatrixLoop, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray]:
-    """Count k of recurrence_pencil(symbol)'s eigenvalues inside the unit circle, and its QZ basis Z.
+def decaying_sector(symbol: MatrixLoop, tol: Tolerances = DEFAULT_TOL) -> tuple[int, np.ndarray, float]:
+    """Count k of recurrence_pencil(symbol)'s eigenvalues inside the unit circle, its QZ basis Z, and its decay.
 
     The finite eigenvalues are the roots of lambda^(R q) det symbol, so k - R q
     is its winding; the ordered QZ puts the decaying initial data in Z[:, :k].
-    A singular pencil (det symbol = 0: a QZ pair with |alpha|, |beta| <=
-    tol.structural times its norm) raises GapNotCertified, a root within
-    tol.circle_band of the circle BorderlineEigenvalue.
+    The adjoint loop's roots are 1/conj(lambda), so the slowest decay of both
+    loops' zero modes is the largest min(|lambda|, 1/|lambda|), 0 when there
+    are none.  A singular pencil (det symbol = 0: a QZ pair with |alpha|,
+    |beta| <= tol.structural times its norm) raises GapNotCertified, a root
+    within tol.circle_band of the circle BorderlineEigenvalue.
     """
     a, b = recurrence_pencil(symbol)
     _, _, alpha, beta, _, z = scipy.linalg.ordqz(a, b, sort="iuc", output="complex")
@@ -87,7 +89,9 @@ def decaying_sector(symbol: MatrixLoop, tol: Tolerances = DEFAULT_TOL) -> tuple[
             f"eigenvalue {lams[np.argmin(off)]:.6g} has modulus within "
             f"{tol.circle_band:.1e} of the unit circle"
         )
-    return int(np.sum(np.abs(lams) < 1.0)), z
+    inside = np.abs(lams) < 1.0
+    decay = np.abs(np.concatenate([lams[inside], 1.0 / lams[~inside]])).max(initial=0.0)
+    return int(inside.sum()), z, float(decay)
 
 
 def build_companion(model: ModelParams, energy: complex, tol: Tolerances = DEFAULT_TOL) -> CompanionMatrix:

@@ -40,7 +40,7 @@ import numpy as np
 import scipy.linalg
 
 # spectral_split is unused here but stays importable: perfbench/spans.py wraps it.
-from .companion import decaying_sector, recurrence_pencil, spectral_split
+from .companion import decaying_sector, spectral_split
 from .config import CELLS_CAP, CELLS_MIN_DEFAULT, DENSE_SVD_MAX, DEFAULT_TOL, Tolerances
 from .errors import (
     AmbiguousKernel,
@@ -284,20 +284,13 @@ def _truncated_kernel_counts(cm: ChiralModel, cells: int, tol: Tolerances):
 
 
 def decay_scale_estimate(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> float:
-    """Largest |lambda| < 1 among the zero-energy recurrence eigenvalues, 0 when none.
+    """Slowest decay of h_pm's and h_mp's zero modes, 0 when none: decaying_sector's for h_pm.
 
-    The eigenvalues of h_pm's recurrence pencil are the roots of det h_pm;
-    h_mp is h_pm's adjoint loop, so its roots are their reciprocals
-    1/conj(mu), and only the moduli matter.  An infinite eigenvalue
-    (singular leading hop) stands for a zero root of det h_mp.  No invertible
-    leading hop is needed.
+    No invertible leading hop is needed.  A root within tol.circle_band of the
+    circle raises BorderlineEigenvalue; leaving it out would size the section
+    for a faster decay and undercount.
     """
-    eigs = np.abs(scipy.linalg.eigvals(*recurrence_pencil(cm.symbol("pm"))))
-    eigs = np.concatenate([eigs, 1.0 / eigs[eigs > 0]])
-    inside = eigs[eigs < 1.0 - tol.circle_band]
-    if len(inside) == 0:
-        return 0.0
-    return float(inside.max())
+    return decaying_sector(cm.symbol("pm"), tol)[2]
 
 
 def decay_min_cells(q: float, hop_range: int, tol: Tolerances) -> int:
@@ -419,7 +412,7 @@ def edge_modes_companion(model, energy: complex = 0.0, tol: Tolerances = DEFAULT
         symbols = {"H - E": MatrixLoop(-base.hop_range, planes)}
     dims, decay_dims, svals = [], [], []
     for name, symbol in symbols.items():
-        k, z = decaying_sector(symbol, tol)
+        k, z, _ = decaying_sector(symbol, tol)
         dim, near = _dirichlet_intersection_dim(z[:, :k], -symbol.lowest_power * symbol.size, tol)
         if np.any(near >= tol.kernel):
             raise AmbiguousKernel(f"{name} Dirichlet singular values inside the undecidable band")

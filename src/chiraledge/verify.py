@@ -24,7 +24,7 @@ from .halfspace import (
 from .models import ChiralModel, build_model, chiral_split, numerically_singular
 # certified_gap is unused here but stays importable: perfbench/spans.py wraps it.
 from .spectrum import GapReport, certified_gap, chiral_gap, chiral_gap_margin
-from .winding import WindingResult, full_winding
+from .winding import WindingResult, cross_checked, winding_phase
 
 
 @dataclass
@@ -79,12 +79,15 @@ def verify_bec(cm: ChiralModel, cells: int | None = None, tol: Tolerances = DEFA
     agree, singular leading hops included; the counting inequalities bound the
     kernel dimensions by the graded decaying dimensions.  The zero-energy gap
     is certified from h_pm (chiral_gap) first, and an uncertified gap raises
-    GapNotCertified before anything is wound.
+    GapNotCertified before anything is wound.  The root count that the phase
+    winding is cross_checked against is the companion route's decaying
+    dimension of h_pm minus R q, so both read one QZ of h_pm.
     """
     gap = _zero_energy_gap(cm)
-    winding = full_winding(cm, tol=tol)
-    edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gap)
+    phase = winding_phase(cm, tol=tol)
     edge_c = edge_modes_companion(cm, 0.0, tol)
+    winding = cross_checked(phase, edge_c.graded_decay_dims[0] - cm.hop_range * cm.dim_plus)
+    edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gap)
 
     verdicts = {}
     w = winding.winding
@@ -92,13 +95,10 @@ def verify_bec(cm: ChiralModel, cells: int | None = None, tol: Tolerances = DEFA
         "pass" if edge.edge_index == w else "fail",
         {"winding": w, "edge_index": edge.edge_index},
     )
-    if winding.method_roots is None:
-        verdicts["winding_methods"] = Verdict("skip", {"reason": "root counting unavailable"})
-    else:
-        # full_winding has already refused when the two methods disagree.
-        verdicts["winding_methods"] = Verdict(
-            "pass", {"method_phase": winding.method_phase, "method_roots": winding.method_roots}
-        )
+    # cross_checked has already refused when the two methods disagree.
+    verdicts["winding_methods"] = Verdict(
+        "pass", {"method_phase": winding.method_phase, "method_roots": winding.method_roots}
+    )
     verdicts["route_agreement"] = Verdict(
         "pass"
         if (edge_c.dim_ker_pm, edge_c.dim_ker_mp) == (edge.dim_ker_pm, edge.dim_ker_mp)

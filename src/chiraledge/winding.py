@@ -4,13 +4,13 @@ The primary method unwraps the phase of the determinant along the unit circle
 with adaptive refinement until every increment is below pi/2, then checks the
 total is an integer multiple of 2*pi.  The validator counts the roots of
 lambda^(R q) det h_pm inside the unit disk as the eigenvalues there of h_pm's
-recurrence pencil (companion.decaying_sector), the same ordered QZ that
-edge_modes_companion reads; the winding is that count minus R q.
+recurrence pencil (companion.decaying_sector); the winding is that count
+minus R q.  cross_checked holds the two methods to one answer.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -93,29 +93,30 @@ def winding_roots(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> int:
     """Winding of det h_pm by root counting (validator); refuses as companion.decaying_sector does."""
     if not cm.balanced:
         raise UnbalancedGrading("root counting needs a square h_pm block")
-    inside, _ = decaying_sector(cm.symbol("pm"), tol)
+    inside, _, _ = decaying_sector(cm.symbol("pm"), tol)
     return inside - cm.hop_range * cm.dim_plus
 
 
+def cross_checked(phase: WindingResult, roots: int | None) -> WindingResult:
+    """The phase winding with its root count, None where the pencil refused.
+
+    Raises NonConvergent when the two methods disagree: the phase unwrap can
+    miss a root pair that lies between two samples.
+    """
+    if roots is not None and roots != phase.method_phase:
+        raise NonConvergent(f"phase winding {phase.method_phase} disagrees with root counting {roots}")
+    return replace(phase, method_roots=roots)
+
+
 def full_winding(cm: ChiralModel, initial_samples: int = 512, tol: Tolerances = DEFAULT_TOL) -> WindingResult:
-    """Phase-method winding cross-checked against the pencil root count.
+    """Phase-method winding cross_checked against winding_roots.
 
     The root count reads None when the pencil refuses (a singular pencil or a
-    root within tol.circle_band of the circle).  Raises NonConvergent when the
-    two methods disagree: the phase unwrap can miss a root pair that lies
-    between two samples.
+    root within tol.circle_band of the circle).
     """
     phase = winding_phase(cm, initial_samples=initial_samples, tol=tol)
     try:
         roots = winding_roots(cm, tol)
     except (BorderlineEigenvalue, GapNotCertified):
         roots = None
-    if roots is not None and roots != phase.method_phase:
-        raise NonConvergent(f"phase winding {phase.method_phase} disagrees with root counting {roots}")
-    return WindingResult(
-        winding=phase.method_phase,
-        method_phase=phase.method_phase,
-        method_roots=roots,
-        samples_used=phase.samples_used,
-        min_abs_det=phase.min_abs_det,
-    )
+    return cross_checked(phase, roots)

@@ -253,6 +253,28 @@ class TestPhaseDiagram:
         assert float(margin) == pytest.approx(2e-6, rel=1e-6)
 
 
+    def test_borderline_root_leaves_edge_empty(self, capsys, tmp_path):
+        # The root -0.995 lies inside circle_band = 1e-2: the truncated route
+        # refuses rather than read edge index 0 from a 64-cell section.
+        family = tmp_path / "fam.json"
+        family.write_text(
+            json.dumps(
+                {
+                    "family": "ssh",
+                    "param1": {"name": "t1", "min": 0.995, "max": 0.995},
+                    "param2": {"name": "t2", "min": 1.0, "max": 1.0},
+                }
+            )
+        )
+        out_csv = tmp_path / "pd.csv"
+        code, _, _ = run(
+            capsys, "phase-diagram", str(family), "--grid", "1x1", "--tol.circle_band=1e-2", "--out", str(out_csv)
+        )
+        assert code == 0
+        rows = [l for l in out_csv.read_text().splitlines() if not l.startswith("#")][1:]
+        assert rows == ["0.995,1,1,,0.005"]
+
+
 class TestErrorsAndDeterminism:
     @pytest.mark.parametrize(
         "flag",

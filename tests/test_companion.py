@@ -1,7 +1,11 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chiraledge
 from chiraledge.companion import (
     LatticeMode,
     build_companion,
@@ -290,3 +294,30 @@ class TestDecayRate:
         mode = LatticeMode(0.0, 1, np.zeros((10, 2), dtype=complex), "mixed", 0.0, 1)
         with pytest.raises(ZeroMode):
             decay_rate(mode)
+
+
+def _calls(tree: ast.Module):
+    """(top-level function or None, callee text) for every call in a module."""
+    for top in tree.body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                yield owner, ast.unparse(node.func)
+
+
+def test_decaying_sector_owns_the_recurrence_pencil():
+    # Every fact about a recurrence pencil's eigenvalues (the winding's root
+    # count, the decaying sector, the decay rate that sizes a truncated
+    # section) comes from decaying_sector's one ordered QZ; a second
+    # factorization elsewhere would pay for the same pencil again.
+    factorizations = {"ordqz", "eigvals", "eig", "qz"}
+    builders, factored = set(), set()
+    for path in sorted(Path(chiraledge.__file__).parent.glob("*.py")):
+        for owner, callee in _calls(ast.parse(path.read_text())):
+            name = callee.rsplit(".", 1)[-1]
+            if name == "recurrence_pencil":
+                builders.add((path.name, owner))
+            elif name in factorizations and callee.removesuffix(name) in ("", "linalg.", "scipy.linalg."):
+                factored.add((path.name, owner))
+    assert builders == {("companion.py", "decaying_sector"), ("companion.py", "build_companion")}
+    assert factored == {("companion.py", "decaying_sector")}

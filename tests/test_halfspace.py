@@ -189,6 +189,16 @@ class TestDecayScaleEstimate:
         # a ring of fit noise of radius eps^(1/k).
         assert decay_scale_estimate(model_from_loop(diagonal_monomials(powers))) == 0.0
 
+    def test_borderline_root_refused(self):
+        # ssh(0.995, 1) has its root at -0.995, inside circle_band = 1e-2.  An
+        # estimate that left it out sized the section at 64 cells and read
+        # edge index 0; the true index is 1, reached at 3224 cells.
+        tol = DEFAULT_TOL.replace(circle_band=1e-2)
+        with pytest.raises(BorderlineEigenvalue):
+            decay_scale_estimate(ssh(0.995, 1), tol)
+        with pytest.raises(BorderlineEigenvalue):
+            edge_modes_truncated(ssh(0.995, 1), tol=tol)
+
 
 class TestEdgeModesTruncated:
     def test_dimerized_fixtures(self):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from chiraledge import verify
 from chiraledge.errors import ExhaustedRedraws, GapNotCertified
@@ -94,13 +95,44 @@ class TestUncertifiedGap:
         def never(*args, **kwargs):
             raise AssertionError("wound a model whose gap is not certified")
 
-        monkeypatch.setattr(verify, "full_winding", never)
+        monkeypatch.setattr(verify, "winding_phase", never)
         with pytest.raises(GapNotCertified):
             verify_bec(ssh(1.0, 1.000002))
 
     def test_gap_exclusion_refuses(self):
         with pytest.raises(GapNotCertified):
             verify_gap_exclusion(ssh(1.0, 1.000002))
+
+
+class TestPencilFactorizations:
+    # One QZ each of h_pm's and h_mp's recurrence pencils in the companion
+    # route, whose h_pm count is also the winding's root count, and one of
+    # h_pm's for the truncation size; no eig of a pencil beside them.
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ssh(1, 2),
+            lambda: next(
+                cm
+                for cm in random_chiral_ensemble(EnsembleSpec(seed=7, count=3, dim_v=4, hop_range=2))
+                if has_singular_leading_hop(cm)
+            ),
+        ],
+        ids=["ssh", "singular-4-2"],
+    )
+    def test_three_per_verify_bec(self, make, monkeypatch):
+        cm = make()
+        calls = []
+        for name in ("ordqz", "eigvals"):
+
+            def counting(*args, name=name, fn=getattr(scipy.linalg, name), **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(scipy.linalg, name, counting)
+        case = verify_bec(cm)
+        assert case.passed
+        assert calls == ["ordqz"] * 3
 
 
 class TestTwoBandStrong:
