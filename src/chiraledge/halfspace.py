@@ -148,11 +148,16 @@ def _cell_norms(vec: np.ndarray, cells: int) -> np.ndarray:
 
 
 def _localization_fit(norms: np.ndarray, from_left: bool = True) -> float:
-    """Exponential decay length (in cells) fitted on the decaying tail."""
+    """Exponential decay length (in cells) fitted on the decaying tail.
+
+    Only cell norms above 1e-10 of the maximum are fitted: below that lies
+    the solvers' rounding, where the dense SVD and the sparse route gave
+    lengths up to 9% apart for the same kernel.
+    """
     mx = norms.max()
     if mx == 0:
         return 0.0
-    keep = np.flatnonzero(norms > 1e-14 * mx)
+    keep = np.flatnonzero(norms > 1e-10 * mx)
     if len(keep) < 3:
         return 0.0
     xs = keep.astype(float)
