@@ -252,7 +252,6 @@ class TestPhaseDiagram:
         assert (winding, edge) == ("", "")
         assert float(margin) == pytest.approx(2e-6, rel=1e-6)
 
-
     def test_borderline_root_leaves_edge_empty(self, capsys, tmp_path):
         # The root -0.995 lies inside circle_band = 1e-2: the truncated route
         # refuses rather than read edge index 0 from a 64-cell section.

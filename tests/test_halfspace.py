@@ -320,10 +320,9 @@ def both_branches(cm, cells):
     return results
 
 
-
 class TestLocalizationLengths:
     # Two-dimensional kernels of sparse sections whose fitted lengths differed
-    # by 2-38% between the dense SVD and the sparse route while cell norms
+    # by 16-38% between the dense SVD and the sparse route while cell norms
     # down to 1e-14 of the maximum, the solvers' rounding, were fitted.
     @pytest.mark.parametrize(
         "seed,dim_v,hop_range,index", [(1, 2, 3, 8), (10, 2, 2, 6), (17, 4, 1, 10), (28, 2, 3, 1)]
@@ -338,6 +337,7 @@ class TestLocalizationLengths:
         assert dense.truncation_cells == sparse.truncation_cells
         assert len(dense.localization_lengths) == 2
         assert sorted(sparse.localization_lengths) == pytest.approx(sorted(dense.localization_lengths), rel=1e-2)
+
 
 class TestAugmentedKernelCount:
     @given(
