@@ -22,7 +22,6 @@ from .companion import (
 from .config import DEFAULT_TOL, Tolerances
 from .halfspace import (
     EdgeReport,
-    TruncatedHamiltonian,
     edge_modes_companion,
     edge_modes_truncated,
     in_gap_scan,

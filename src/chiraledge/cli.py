@@ -291,7 +291,7 @@ def _cmd_edge(args, tol) -> int:
     if args.method in ("truncated", "both"):
         truncated = edge_modes_truncated(cm, cells=args.cells, tol=tol)
     if args.method in ("companion", "both"):
-        companion = edge_modes_companion(cm, 0.0, tol)
+        companion = edge_modes_companion(cm, tol)
     main = truncated or companion
     doc.update(main.to_dict())
     if truncated is not None and companion is not None:
@@ -313,7 +313,7 @@ def _cmd_scan(args, tol) -> int:
     else:
         delta = 0.05 * (gap.e_plus - gap.e_minus)
         window = (gap.e_minus + delta, gap.e_plus - delta)
-    hits = in_gap_scan(model, args.cells, window, tol=tol, gap=gap)
+    hits = in_gap_scan(model, args.cells, window, gap=gap)
     meta = _meta(raw, args.seed, tol, {"cells": args.cells, "window": list(window)})
     _emit_csv(
         ["energy", "localization_length", "side"],

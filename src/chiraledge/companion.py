@@ -248,7 +248,7 @@ class LatticeMode:
         return np.linalg.norm(self.window, axis=1)
 
 
-def _classify_initial(cm: CompanionMatrix, split: CompanionSplit, initial: np.ndarray) -> str:
+def _classify_initial(split: CompanionSplit, initial: np.ndarray) -> str:
     basis = np.hstack([split.basis_down, split.basis_bloch, split.basis_up])
     coeffs, *_ = np.linalg.lstsq(basis, initial, rcond=None)
     d0, d1, _ = split.dims
@@ -317,7 +317,7 @@ def propagate(
 
     window = np.vstack(cells)
     split = spectral_split(cm, tol)
-    label = _classify_initial(cm, split, initial)
+    label = _classify_initial(split, initial)
     residual = _recurrence_residual(model, cm.energy, window)
     return LatticeMode(
         energy=cm.energy,

@@ -81,9 +81,6 @@ def fixture(spec: str) -> ChiralModel:
     return builder(**kwargs)
 
 
-# Two-parameter families for the phase-diagram sweep.
-FAMILIES = {
-    "ssh": (ssh, ("t1", "t2")),
-    "defective": (defective, ("theta", "scale")),
-}
-FAMILIES["appendixB"] = FAMILIES["defective"]
+# Two-parameter families for the phase-diagram sweep: the fixtures with parameters.
+FAMILIES = {name: entry for name, entry in _BUILDERS.items() if entry[1]}
+FAMILIES.update({alias: FAMILIES[name] for alias, name in _ALIASES.items()})

@@ -1,16 +1,16 @@
 """Half-space Hamiltonians and edge-mode counting by two independent routes.
 
 Truncating the lattice to cells 1..N (hops reaching cell <= 0 dropped) gives a
-finite Hermitian block-banded matrix whose in-gap spectrum probes the discrete
-spectrum of the half-infinite operator.  For graded models the zero-energy
-kernel splits into the kernels of the two off-diagonal block operators; their
-dimensions are computed either from singular values of the truncated blocks
-or from the intersection of the Dirichlet subspace with the decaying sector
-of each block's recurrence pencil; both work for singular A_R.  The
-truncated Hamiltonian and blocks are finite sections of the symbols
-ModelParams.symbol() and ChiralModel.symbol("pm"/"mp"); _section_diagonals
-lays out every section, dense or sparse.  The truncation has a spurious right
-edge, so only left-localized kernel directions are counted.
+finite Hermitian block-banded matrix (truncate_halfspace, the finite section
+of ModelParams.symbol()) whose in-gap spectrum probes the discrete spectrum
+of the half-infinite operator.  For graded models the zero-energy kernel
+splits into the kernels of the two off-diagonal block operators h_pm and
+h_mp; their dimensions are computed either from the singular vectors of h_pm's
+finite section, whose adjoint is h_mp's, or from the intersection of the
+Dirichlet subspace with the decaying sector of each block's recurrence
+pencil; both work for singular A_R.  _section_diagonals lays out every
+section, dense or sparse.  The truncation has a spurious right edge, so only
+left-localized kernel directions are counted.
 
 Kernel singular values are judged against tol.kernel * smax.  The dense path
 takes smax as the section's largest singular value, which its SVD gives for
@@ -55,23 +55,17 @@ from .models import ChiralModel, MatrixLoop, ModelParams, build_model
 from .spectrum import GapReport, certified_gap, chiral_gap
 
 
-@dataclass(frozen=True, eq=False)
-class TruncatedHamiltonian:
-    cells: int
-    matrix: np.ndarray  # (N d_V, N d_V), Hermitian for self-adjoint models
-    model: ModelParams
-
-
-def truncate_halfspace(model: ModelParams, cells: int, tol: Tolerances = DEFAULT_TOL) -> TruncatedHamiltonian:
+def truncate_halfspace(model: ModelParams, cells: int) -> np.ndarray:
     """Compression of the half-space Hamiltonian to its first `cells` unit cells.
 
+    A dense (cells d_V, cells d_V) matrix, Hermitian for self-adjoint models.
     The top-left boundary implements the hard cut (terms from cells <= 0 are
     absent); the bottom edge gets the same cut and its spurious states must be
     filtered by localization downstream.
     """
     if cells < 4 * model.hop_range:
         raise TooFewCells(f"need at least {4 * model.hop_range} cells, got {cells}")
-    return TruncatedHamiltonian(cells=cells, matrix=_dense_section(model.symbol(), cells), model=model)
+    return _dense_section(model.symbol(), cells)
 
 
 def _section_diagonals(symbol: MatrixLoop, cells: int):
@@ -117,18 +111,18 @@ def _dense_section(symbol: MatrixLoop, cells: int) -> np.ndarray:
     return t.reshape(cells * rows_dim, cells * cols_dim)
 
 
-def toeplitz_block(cm: ChiralModel, cells: int, which: str = "pm") -> np.ndarray:
-    """Finite section of the half-space graded block operator, as a dense matrix."""
-    return _dense_section(cm.symbol(which), cells)
+def toeplitz_block(cm: ChiralModel, cells: int) -> np.ndarray:
+    """Finite section of the half-space block operator h_pm, as a dense matrix."""
+    return _dense_section(cm.symbol("pm"), cells)
 
 
 @dataclass(eq=False)
 class EdgeReport:
     """Kernel dimensions of the graded half-space blocks and their difference."""
 
-    dim_ker_pm: int | None
-    dim_ker_mp: int | None
-    edge_index: int | None
+    dim_ker_pm: int
+    dim_ker_mp: int
+    edge_index: int
     method: str
     singular_values_near_zero: list = field(default_factory=list)
     truncation_cells: int | None = None
@@ -175,9 +169,10 @@ def _left_localized(vectors: np.ndarray, cells: int) -> tuple[int, np.ndarray]:
     """Count/extract directions of a near-kernel subspace carrying >1/2 mass on the left half.
 
     Works on the subspace rather than individual vectors so that degenerate
-    singular values mixing the two edges are still counted correctly.  The
-    basis is re-orthonormalized first: sparse eigensolves may hand back a
-    non-orthogonal basis for a machine-degenerate cluster.
+    singular values mixing the two edges are still counted correctly.  Both
+    kernel paths hand in orthonormal singular vectors; the SVD first refuses
+    a numerically collinear basis and fixes the basis that the per-vector
+    localization fit sees, which within a degenerate kernel depends on it.
     """
     k = vectors.shape[1]
     if k == 0:
@@ -245,7 +240,7 @@ def _shift_invert_subspace(lu, piv, kl: int, shift: float, tau: float, start: np
 def _truncated_kernel_counts(cm: ChiralModel, cells: int, tol: Tolerances):
     dim = cells * cm.dim_plus
     if dim <= DENSE_SVD_MAX:
-        u, sigmas, vh = np.linalg.svd(toeplitz_block(cm, cells, "pm"))
+        u, sigmas, vh = np.linalg.svd(toeplitz_block(cm, cells))
         tau = tol.kernel * float(sigmas[0])
         small = sigmas < tau
         right, left = vh.conj().T[:, small], u[:, small]
@@ -394,45 +389,26 @@ def _dirichlet_intersection_dim(basis_down: np.ndarray, dirichlet_zeros: int, to
     return dim, sv[sv < 10 * tol.kernel]
 
 
-def edge_modes_companion(model, energy: complex = 0.0, tol: Tolerances = DEFAULT_TOL) -> EdgeReport:
-    """Edge-mode dimensions from Dirichlet ∩ decaying-sector intersections, for any leading hop.
+def edge_modes_companion(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> EdgeReport:
+    """Zero-energy kernel dimensions of h_pm and h_mp from Dirichlet ∩ decaying-sector intersections.
 
-    The ordered QZ of a symbol's recurrence pencil (companion.decaying_sector)
-    gives its decaying initial data; the first R x (symbol size) coordinates,
-    the cells left of the edge, must vanish.  For a balanced graded model at
-    zero energy the symbols are h_pm and h_mp, and both kernel dimensions are
-    returned.  Otherwise the symbol is H - E, and only the total edge-mode
-    dimension at that energy is returned.  A singular pencil raises
-    GapNotCertified.
+    The ordered QZ of each block's recurrence pencil (companion.decaying_sector)
+    gives its decaying initial data; the first R q coordinates, the cells
+    left of the edge, must vanish.  Any leading hop is allowed.  A singular
+    pencil raises GapNotCertified.
     """
-    graded = isinstance(model, ChiralModel) and energy == 0
-    if graded:
-        if not model.balanced:
-            raise UnbalancedGrading("graded kernel dimensions need balanced components")
-        symbols = {"pm": model.symbol("pm"), "mp": model.symbol("mp")}
-    else:
-        base = model.base if isinstance(model, ChiralModel) else model
-        planes = base.symbol().coeffs.copy()
-        planes[base.hop_range] -= complex(energy) * np.eye(base.dim_v)
-        symbols = {"H - E": MatrixLoop(-base.hop_range, planes)}
+    if not cm.balanced:
+        raise UnbalancedGrading("graded kernel dimensions need balanced components")
     dims, decay_dims, svals = [], [], []
-    for name, symbol in symbols.items():
+    for which in ("pm", "mp"):
+        symbol = cm.symbol(which)
         k, z, _ = decaying_sector(symbol, tol)
         dim, near = _dirichlet_intersection_dim(z[:, :k], -symbol.lowest_power * symbol.size, tol)
         if np.any(near >= tol.kernel):
-            raise AmbiguousKernel(f"{name} Dirichlet singular values inside the undecidable band")
+            raise AmbiguousKernel(f"{which} Dirichlet singular values inside the undecidable band")
         dims.append(dim)
         decay_dims.append(k)
         svals.extend(float(x) for x in near)
-    if not graded:
-        return EdgeReport(
-            dim_ker_pm=None,
-            dim_ker_mp=None,
-            edge_index=None,
-            method="companion",
-            singular_values_near_zero=svals,
-            dim_edge_total=dims[0],
-        )
     pm, mp = dims
     return EdgeReport(
         dim_ker_pm=pm,
@@ -452,13 +428,7 @@ class ScanHit:
     side: str
 
 
-def in_gap_scan(
-    model: ModelParams,
-    cells: int,
-    energy_window: tuple,
-    gap: GapReport,
-    tol: Tolerances = DEFAULT_TOL,
-) -> list:
+def in_gap_scan(model: ModelParams, cells: int, energy_window: tuple, gap: GapReport) -> list:
     """All truncated-Hamiltonian eigenvalues in the window, tagged by edge side.
 
     Delocalized hits indicate an insufficient truncation and are reported, not
@@ -468,8 +438,7 @@ def in_gap_scan(
     lo, hi = float(energy_window[0]), float(energy_window[1])
     if not gap.gapped or not (gap.e_minus <= lo and hi <= gap.e_plus):
         raise GapNotCertified(f"window ({lo}, {hi}) is not inside a certified gap")
-    trunc = truncate_halfspace(model, cells, tol)
-    evals, evecs = np.linalg.eigh(trunc.matrix)
+    evals, evecs = np.linalg.eigh(truncate_halfspace(model, cells))
     hits = []
     for idx in np.flatnonzero((evals > lo) & (evals < hi)):
         vec = evecs[:, idx]

@@ -370,7 +370,7 @@ def certify_path(stages, tol: Tolerances = DEFAULT_TOL):
                     return dets
                 return np.linalg.det(stage.moving(t, lams)) * stage.fixed(lams)[2]
 
-            w, *_ = winding_of_curve(det_curve, initial_samples=128, integer_tol=tol.winding_integer)
+            w, *_ = winding_of_curve(det_curve, initial_samples=128, tol=tol)
             ws.add(w)
         if len(ws) != 1:
             raise CertificateFailed(
@@ -617,7 +617,7 @@ def _projectionize_stages(builder: _Builder, c_mat: np.ndarray, d_mat: np.ndarra
         raise SpectrumOnCriticalLine(
             "coefficient spectrum touches Re = 1/2; the loop was not invertible upstream"
         )
-    q_proj, rank = _spectral_projection(cp, tol)
+    q_proj, rank = _spectral_projection(cp)
 
     def to_projection(t, lams):
         coeff = (1.0 - t) * cp + t * q_proj
@@ -673,24 +673,19 @@ def _sort_stages(builder: _Builder):
             builder.swap_channels(c, best)
 
 
-def _spectral_projection(matrix: np.ndarray, tol: Tolerances):
-    """Spectral projector of `matrix` for the Re(mu) > 1/2 part of its spectrum.
+def _spectral_projection(matrix: np.ndarray):
+    """Spectral projector of `matrix` for the Re(mu) > 1/2 part of its spectrum, and its rank.
 
-    Prefers the eigenbasis; falls back to an ordered-Schur Sylvester solve when
-    the eigenbasis is ill-conditioned (defective coefficients).
+    An ordered Schur form T = Z* M Z puts that part first; the projector is
+    Z [[I, Y], [0, 0]] Z* with T11 Y - Y T22 = T12, which stays
+    well-conditioned for defective coefficients, where an eigenbasis does not.
     """
     n = matrix.shape[0]
-    eigs, vecs = np.linalg.eig(matrix)
-    sel = eigs.real > 0.5
-    rank = int(sel.sum())
-    if rank in (0, n):
-        return (np.eye(n, dtype=complex) if rank == n else np.zeros((n, n), dtype=complex)), rank
-    if not numerically_singular(vecs, tol):
-        q = vecs @ np.diag(sel.astype(complex)) @ np.linalg.inv(vecs)
-        return q, rank
     t_mat, z, sdim = scipy.linalg.schur(
         matrix, output="complex", sort=lambda mu: mu.real > 0.5
     )
+    if sdim in (0, n):
+        return (np.eye(n, dtype=complex) if sdim == n else np.zeros((n, n), dtype=complex)), sdim
     t11 = t_mat[:sdim, :sdim]
     t22 = t_mat[sdim:, sdim:]
     t12 = t_mat[:sdim, sdim:]

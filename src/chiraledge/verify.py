@@ -16,6 +16,7 @@ from .config import DEFAULT_TOL, SINGULAR_DRAW_FRACTION, Tolerances
 from .errors import ExhaustedRedraws, GapNotCertified
 from .halfspace import (
     EdgeReport,
+    decay_min_cells,
     decay_scale_estimate,
     edge_modes_companion,
     edge_modes_truncated,
@@ -25,6 +26,13 @@ from .models import ChiralModel, build_model, chiral_split, numerically_singular
 # certified_gap is unused here but stays importable: perfbench/spans.py wraps it.
 from .spectrum import GapReport, certified_gap, chiral_gap, chiral_gap_margin
 from .winding import WindingResult, cross_checked, winding_phase
+
+
+# Largest truncation verify_gap_exclusion diagonalizes densely.  Over 50
+# seeded R = 1, dim_v = 2 models of each of seeds 1-21 the largest decay
+# minimum was 767 cells, whose dense eigh took 3.4 s on one core of a
+# 2-vCPU VM.
+GAP_EXCLUSION_CELLS_MAX = 1024
 
 
 @dataclass
@@ -85,7 +93,7 @@ def verify_bec(cm: ChiralModel, cells: int | None = None, tol: Tolerances = DEFA
     """
     gap = _zero_energy_gap(cm)
     phase = winding_phase(cm, tol=tol)
-    edge_c = edge_modes_companion(cm, 0.0, tol)
+    edge_c = edge_modes_companion(cm, tol)
     winding = cross_checked(phase, edge_c.graded_decay_dims[0] - cm.hop_range * cm.dim_plus)
     edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gap)
 
@@ -153,13 +161,15 @@ def two_band_case(cm: ChiralModel, gap: GapReport, winding: WindingResult, edge:
 def verify_gap_exclusion(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> VerificationCase:
     """Nearest-neighbour two-band models: in-gap spectrum is confined to zero energy.
 
-    Truncation eigenvalues on 100 cells in the shrunken gap window, except
-    those on the spurious right edge, must be zero up to the truncation
-    splitting eps_N = 10 q^N (floating-point floored), with q the slowest
-    companion decay.  Left-localized and delocalized hits are checked alike:
-    on a slowly decaying chain the two edge modes hybridize into a +-eps pair
-    spread over both edges.  The check is skipped when eps_N is at least the
-    window's half-width, since it would then exclude nothing.
+    Truncation eigenvalues in the shrunken gap window, except those on the
+    spurious right edge, must be zero up to the truncation splitting
+    eps_N = 10 q^N (floating-point floored), with q the slowest companion
+    decay.  N is the decay minimum of q (decay_min_cells), at least 100
+    cells; a decay minimum above GAP_EXCLUSION_CELLS_MAX falls back to 100
+    cells, where eps_N is large.  Left-localized and delocalized hits are
+    checked alike: on a slowly decaying chain the two edge modes hybridize
+    into a +-eps pair spread over both edges.  The check is skipped when eps_N
+    is at least the window's half-width, since it would then exclude nothing.
     """
     if cm.hop_range != 1 or cm.dim_v != 2:
         reason = {"reason": f"hypotheses need R=1, dim_v=2; got R={cm.hop_range}, dim_v={cm.dim_v}"}
@@ -167,18 +177,20 @@ def verify_gap_exclusion(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Veri
             model=cm, winding=None, edge=None, gap=None,
             verdicts={"zero_confinement": Verdict("skip", dict(reason))},
         )
-    cells = 100
     gap = _zero_energy_gap(cm)
     delta = 0.05 * (gap.e_plus - gap.e_minus)
     window = (gap.e_minus + delta, gap.e_plus - delta)
     q = decay_scale_estimate(cm, tol)
+    cells = max(100, decay_min_cells(q, 1, tol))
+    if cells > GAP_EXCLUSION_CELLS_MAX:
+        cells = 100
     eps_n = max(10.0 * q**cells, 1e-12 * cm.base.norm_scale)
     half_width = 0.5 * (window[1] - window[0])
     if eps_n >= half_width:
         reason = f"truncation splitting eps_n {eps_n:.3e} reaches the window half-width {half_width:.3e}"
         verdict = Verdict("skip", {"reason": reason, "eps_n": eps_n, "cells": cells})
     else:
-        hits = in_gap_scan(cm.base, cells, window, gap, tol)
+        hits = in_gap_scan(cm.base, cells, window, gap)
         checked = [h.energy for h in hits if h.side != "right"]
         offenders = [e for e in checked if abs(e) > eps_n]
         verdict = Verdict(

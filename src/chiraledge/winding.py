@@ -29,7 +29,7 @@ class WindingResult:
     min_abs_det: float
 
 
-def winding_of_curve(f, initial_samples: int = 512, integer_tol: float = 1e-6):
+def winding_of_curve(f, initial_samples: int = 512, tol: Tolerances = DEFAULT_TOL):
     """Winding number of k -> f(e^{ik}) around 0.
 
     `f` must accept an array of unit-circle points and return complex values.
@@ -37,7 +37,7 @@ def winding_of_curve(f, initial_samples: int = 512, integer_tol: float = 1e-6):
     safe; raises GapNotCertified when the curve comes within 1e-9 of the
     origin (relative to its largest magnitude) and NonConvergent at
     WINDING_SAMPLE_CAP samples or when the summed phase is not an integer
-    multiple of 2*pi.
+    multiple of 2*pi within tol.winding_integer.
 
     Returns (winding, samples_used, min_abs, max_abs).
     """
@@ -68,9 +68,9 @@ def winding_of_curve(f, initial_samples: int = 512, integer_tol: float = 1e-6):
         ks, vals = ks[order], vals[order]
     total = float(dphi.sum())
     w = int(round(total / (2.0 * np.pi)))
-    if abs(total - 2.0 * np.pi * w) > integer_tol:
+    if abs(total - 2.0 * np.pi * w) > tol.winding_integer:
         raise NonConvergent(
-            f"summed phase {total:.9f} is not an integer multiple of 2*pi within {integer_tol}"
+            f"summed phase {total:.9f} is not an integer multiple of 2*pi within {tol.winding_integer}"
         )
     return w, len(ks), amin, amax
 
@@ -79,11 +79,7 @@ def winding_phase(cm: ChiralModel, initial_samples: int = 512, tol: Tolerances =
     """Winding of det h_pm by adaptive phase unwrapping (primary method)."""
     if not cm.balanced:
         raise UnbalancedGrading("winding needs a square h_pm block")
-    w, used, amin, _ = winding_of_curve(
-        cm.symbol("pm").det_fn(),
-        initial_samples=initial_samples,
-        integer_tol=tol.winding_integer,
-    )
+    w, used, amin, _ = winding_of_curve(cm.symbol("pm").det_fn(), initial_samples=initial_samples, tol=tol)
     return WindingResult(
         winding=w, method_phase=w, method_roots=None, samples_used=used, min_abs_det=amin
     )

@@ -72,11 +72,11 @@ def test_criterion_1_dimerized_fixtures():
 
         cm = dimerized_plus()
         trunc = truncate_halfspace(cm.base, 16)
-        evals = np.linalg.eigvalsh(trunc.matrix)
+        evals = np.linalg.eigvalsh(trunc)
         distance = np.minimum(np.abs(evals), np.abs(np.abs(evals) - 1.0))
         assert np.all(distance <= 1e-10)
 
-        modes = left_localized_zero_modes(trunc.matrix, 16, 2)
+        modes = left_localized_zero_modes(trunc, 16, 2)
         assert modes.shape[1] == 1
         reference = np.zeros(32, dtype=complex)
         reference[0] = 1.0

@@ -166,6 +166,35 @@ class TestProjectionize:
         with pytest.raises(SpectrumOnCriticalLine):
             projected(0.5, 0.5)
 
+    @staticmethod
+    def jordan_coefficient():
+        # Jordan blocks J_2(0.9) and J_2(0.1), conjugated so that no eigenbasis exists in any frame.
+        j = np.zeros((4, 4), dtype=complex)
+        j[:2, :2] = [[0.9, 1.0], [0.0, 0.9]]
+        j[2:, 2:] = [[0.1, 1.0], [0.0, 0.1]]
+        s = np.random.default_rng(3).standard_normal((4, 4))
+        return s @ j @ np.linalg.inv(s)
+
+    @staticmethod
+    def random_coefficients():
+        rng = np.random.default_rng(17)
+        out = []
+        while len(out) < 20:
+            n = int(rng.integers(2, 7))
+            m = 0.5 * np.eye(n) + (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2 * n)
+            if np.abs(np.linalg.eigvals(m).real - 0.5).min() > 1e-2:
+                out.append(m)
+        return out
+
+    def test_spectral_projection(self):
+        for m in [self.jordan_coefficient(), *self.random_coefficients()]:
+            p, rank = loops._spectral_projection(m)
+            scale = np.linalg.norm(p) * np.linalg.norm(m)
+            assert np.linalg.norm(p @ p - p) <= 1e-12 * np.linalg.norm(p) ** 2
+            assert np.linalg.norm(p @ m - m @ p) <= 1e-12 * scale
+            assert rank == int((np.linalg.eigvals(m).real > 0.5).sum())
+            assert np.trace(p).real == pytest.approx(rank, abs=1e-9)
+
 
 class TestFullDeformation:
     def test_dimerized_counts(self):
@@ -440,9 +469,9 @@ class TestCertifyPath:
         stages = full_deformation(ssh(0.5, 1)).stages
         seen = []
 
-        def spy(f, initial_samples=512, integer_tol=1e-6):
-            seen.append(integer_tol)
-            return winding_of_curve(f, initial_samples, integer_tol)
+        def spy(f, initial_samples=512, tol=DEFAULT_TOL):
+            seen.append(tol.winding_integer)
+            return winding_of_curve(f, initial_samples, tol)
 
         monkeypatch.setattr(loops, "winding_of_curve", spy)
         certify_path(stages, DEFAULT_TOL.replace(winding_integer=1e-3))

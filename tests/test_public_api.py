@@ -55,10 +55,11 @@ ALLOWED_UNSET = {
 
 
 def _public_defaults(tree: ast.Module):
-    """(qualified name, callee name, parameter, positional index or None) per defaulted parameter.
+    """(qualified name, callee name, parameter, positional index or None, default) per defaulted parameter.
 
     Module-level functions and the methods of module-level classes, both
     public; the index counts call arguments, so a method's self is skipped.
+    The default is its expression node.
     """
     functions = [(n.name, n, 0) for n in tree.body if isinstance(n, ast.FunctionDef)]
     for cls in tree.body:
@@ -72,11 +73,11 @@ def _public_defaults(tree: ast.Module):
             continue
         positional = fn.args.posonlyargs + fn.args.args
         first = len(positional) - len(fn.args.defaults)
-        for index, arg in enumerate(positional[first:], start=first):
-            yield qualified, fn.name, arg.arg, index - skip
+        for index, (arg, default) in enumerate(zip(positional[first:], fn.args.defaults), start=first):
+            yield qualified, fn.name, arg.arg, index - skip, default
         for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
             if default is not None:
-                yield qualified, fn.name, arg.arg, None
+                yield qualified, fn.name, arg.arg, None, default
 
 
 def _calls_by_name(paths) -> dict:
@@ -90,25 +91,44 @@ def _calls_by_name(paths) -> dict:
     return calls
 
 
-def _passes(call: ast.Call, parameter: str, index) -> bool:
-    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+_NOT_A_LITERAL = object()
+
+
+def _literal(node: ast.AST):
+    try:
+        return ast.literal_eval(node)
+    except ValueError:
+        return _NOT_A_LITERAL
+
+
+def _passes(call: ast.Call, parameter: str, index, default: ast.AST) -> bool:
+    """Whether the call sets the parameter to anything but a literal equal to its default."""
+    if any(k.arg is None for k in call.keywords):
         return True
-    if index is None:
-        return False
-    return len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+    if index is not None and any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    passed = [k.value for k in call.keywords if k.arg == parameter]
+    if index is not None:
+        passed += call.args[index : index + 1]
+    for node in passed:
+        value = _literal(node)
+        if value is _NOT_A_LITERAL or value != _literal(default):
+            return True
+    return False
 
 
 def test_every_defaulted_parameter_has_a_production_setter():
     # An option that no caller sets is a configuration nobody runs.  A call
     # sets a parameter by keyword, by position, or through ** (which counts
-    # for every name); calls are matched by the callee's name.  tol is exempt:
-    # every Tolerances field is overridable from the CLI.
+    # for every name); calls are matched by the callee's name.  Passing a
+    # literal equal to the default sets nothing.  tol is exempt: every
+    # Tolerances field is overridable from the CLI.
     calls = _calls_by_name([*PACKAGE.glob("*.py"), *SCRIPTS.glob("*.py"), *PERFBENCH.glob("*.py")])
     defaults = [d for path in PACKAGE.glob("*.py") for d in _public_defaults(ast.parse(path.read_text()))]
     unset = {
         f"{qualified}.{parameter}"
-        for qualified, callee, parameter, index in defaults
-        if parameter != "tol" and not any(_passes(c, parameter, index) for c in calls.get(callee, []))
+        for qualified, callee, parameter, index, default in defaults
+        if parameter != "tol" and not any(_passes(c, parameter, index, default) for c in calls.get(callee, []))
     }
     unused = sorted(unset - set(ALLOWED_UNSET))
     assert not unused, f"defaulted but set only by tests: {unused}"

@@ -171,19 +171,31 @@ class TestGapExclusion:
             assert case.passed, case_to_dict(case)
 
     def test_hybridized_pair_is_checked(self):
-        # ssh(0.9, 1) decays slowly: on 100 cells the two edge modes hybridize
-        # into a +-5e-6 pair spread over both edges, so no hit is "left".
+        # ssh(0.9, 1) decays slowly: on its 161 cells the two edge modes
+        # hybridize into a +-8e-9 pair spread over both edges, so no hit is "left".
         verdict = verify_gap_exclusion(ssh(0.9, 1)).verdicts["zero_confinement"]
         assert verdict.status == "pass"
+        assert verdict.details["cells"] == 161
         energies = verdict.details["checked_energies"]
-        assert len(energies) == 2 and all(1e-6 < abs(e) < 1e-5 for e in energies)
+        assert len(energies) == 2 and all(1e-9 < abs(e) < 1e-8 for e in energies)
         assert verdict.details["eps_n"] > max(abs(e) for e in energies)
 
-    def test_splitting_wider_than_the_window_skips(self):
-        # ssh(0.97, 1): eps_n = 10 q^100 ~ 0.48 exceeds the whole gap (-0.03, 0.03).
+    def test_truncation_sized_from_the_decay(self):
+        # ssh(0.97, 1): at 100 cells eps_n = 10 q^100 ~ 0.48 exceeded the whole
+        # gap (-0.03, 0.03); the decay minimum, 538 cells, brings it to 7.6e-7.
         verdict = verify_gap_exclusion(ssh(0.97, 1)).verdicts["zero_confinement"]
+        assert verdict.status == "pass"
+        assert verdict.details["cells"] == 538
+        assert verdict.details["eps_n"] == pytest.approx(7.6e-7, rel=1e-2)
+        assert len(verdict.details["checked_energies"]) == 2
+
+    def test_splitting_wider_than_the_window_skips(self):
+        # ssh(0.99, 1) needs 1612 cells, above GAP_EXCLUSION_CELLS_MAX, so it
+        # stays at 100, where eps_n = 10 q^100 ~ 3.7 exceeds the whole gap (-0.01, 0.01).
+        verdict = verify_gap_exclusion(ssh(0.99, 1)).verdicts["zero_confinement"]
         assert verdict.status == "skip"
-        assert verdict.details["eps_n"] > 0.4
+        assert verdict.details["cells"] == 100
+        assert verdict.details["eps_n"] > 3
         assert "checked_energies" not in verdict.details
 
 
