@@ -165,11 +165,11 @@ def verify_gap_exclusion(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Veri
     spurious right edge, must be zero up to the truncation splitting
     eps_N = 10 q^N (floating-point floored), with q the slowest companion
     decay.  N is the decay minimum of q (decay_min_cells), at least 100
-    cells; a decay minimum above GAP_EXCLUSION_CELLS_MAX falls back to 100
-    cells, where eps_N is large.  Left-localized and delocalized hits are
-    checked alike: on a slowly decaying chain the two edge modes hybridize
-    into a +-eps pair spread over both edges.  The check is skipped when eps_N
-    is at least the window's half-width, since it would then exclude nothing.
+    cells; a decay minimum above GAP_EXCLUSION_CELLS_MAX leaves N at 100.
+    Left-localized and delocalized hits are checked alike: on a slowly
+    decaying chain the two edge modes hybridize into a +-eps pair spread
+    over both edges.  The check is skipped when eps_N is at least the
+    window's half-width, since it would then exclude nothing.
     """
     if cm.hop_range != 1 or cm.dim_v != 2:
         reason = {"reason": f"hypotheses need R=1, dim_v=2; got R={cm.hop_range}, dim_v={cm.dim_v}"}

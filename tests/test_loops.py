@@ -168,7 +168,7 @@ class TestProjectionize:
 
     @staticmethod
     def jordan_coefficient():
-        # Jordan blocks J_2(0.9) and J_2(0.1), conjugated so that no eigenbasis exists in any frame.
+        # Jordan blocks J_2(0.9) and J_2(0.1) have no eigenbasis; a random similarity fills the matrix.
         j = np.zeros((4, 4), dtype=complex)
         j[:2, :2] = [[0.9, 1.0], [0.0, 0.9]]
         j[2:, 2:] = [[0.1, 1.0], [0.0, 0.1]]
