@@ -4,16 +4,20 @@ Every JSON/CSV output embeds the tool version, a hash of the input model, the
 seed, and the tolerances in force.  Floats are rounded to 12 significant
 digits so repeated runs are byte-identical at the same BLAS build and thread
 count; printed numerical zeros such as singular_values_near_zero change digits
-with OPENBLAS_NUM_THREADS.
+with OPENBLAS_NUM_THREADS.  phase-diagram spreads its grid cells over the CPUs
+of the process's affinity mask and writes the rows in grid order, so its
+output does not depend on how many CPUs there are.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -459,6 +463,58 @@ def _cmd_verify(args, tol) -> int:
     return 0 if entry["passed"] else 1
 
 
+def _phase_cell(family: str, name1: str, name2: str, cells, tol, point) -> list:
+    """One phase-diagram row [p1, p2, winding, edge_index, gap_margin]."""
+    v1, v2 = point
+    cm = FAMILIES[family][0](**{name1: float(v1), name2: float(v2)})
+    # A cell whose zero-energy gap does not certify gets empty fields;
+    # gap_margin is the sampled sigma_min of the last grid either way.
+    gap = chiral_gap(cm)
+    winding = edge = ""
+    if gap.gapped:
+        try:
+            winding = full_winding(cm, tol=tol).winding
+        except ChiralEdgeError:
+            winding = ""
+        try:
+            # Auto cells refuse (empty field) when the decay is too
+            # slow to resolve the kernel, rather than undercounting.
+            edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gap).edge_index
+        except ChiralEdgeError:
+            edge = ""
+    return [v1, v2, winding, edge, gap.e_plus]
+
+
+def _map_in_order(func, items) -> list:
+    """[func(x) for x in items], spread over the CPUs of the affinity mask.
+
+    Each call gets its own pool, one worker per CPU the process may run on
+    and at most one per item, and joins it before returning.  Workers are
+    forked, not spawned: a spawned worker imports numpy and scipy again,
+    0.4-1 s on a 2-vCPU VM, more than a 142-cell ssh grid takes.  Fewer than
+    two workers (one item, one CPU, or a caller that is itself a daemonic
+    worker and may not fork) run inline.  Pool.map's default chunks, about
+    four per worker, even out the slow sparse items.  Results come back in
+    item order, so they do not depend on the worker count; an exception
+    raised in a worker is raised again here.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(items))
+    if workers >= 2:
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:
+            workers = 1
+    if workers < 2:
+        return [func(x) for x in items]
+    pool = multiprocessing.get_context("fork").Pool(workers)
+    try:
+        return pool.map(func, items)
+    finally:
+        pool.terminate()
+        pool.join()
+
+
 def _cmd_phase_diagram(args, tol) -> int:
     path = args.model or getattr(args, "model_path", None)
     if not path:
@@ -473,7 +529,7 @@ def _cmd_phase_diagram(args, tol) -> int:
             raise ParseError(f"family file needs field {fieldname!r}")
     if doc["family"] not in FAMILIES:
         raise ParseError(f"unknown family {doc['family']!r}; available: {sorted(FAMILIES)}")
-    builder, allowed = FAMILIES[doc["family"]]
+    allowed = FAMILIES[doc["family"]][1]
 
     def axis(spec, which):
         for key in ("name", "min", "max"):
@@ -496,26 +552,9 @@ def _cmd_phase_diagram(args, tol) -> int:
     if n1 < 0 or n2 < 0:
         raise ParseError(f"--grid sizes must not be negative, got {args.grid!r}")
 
-    rows = []
-    for v1 in np.linspace(lo1, hi1, n1):
-        for v2 in np.linspace(lo2, hi2, n2):
-            cm = builder(**{name1: float(v1), name2: float(v2)})
-            # A cell whose zero-energy gap does not certify gets empty fields;
-            # gap_margin is the sampled sigma_min of the last grid either way.
-            gap = chiral_gap(cm)
-            winding = edge = ""
-            if gap.gapped:
-                try:
-                    winding = full_winding(cm, tol=tol).winding
-                except ChiralEdgeError:
-                    winding = ""
-                try:
-                    # Auto cells refuse (empty field) when the decay is too
-                    # slow to resolve the kernel, rather than undercounting.
-                    edge = edge_modes_truncated(cm, cells=args.cells, tol=tol, gap=gap).edge_index
-                except ChiralEdgeError:
-                    edge = ""
-            rows.append([v1, v2, winding, edge, gap.e_plus])
+    points = [(v1, v2) for v1 in np.linspace(lo1, hi1, n1) for v2 in np.linspace(lo2, hi2, n2)]
+    cell = functools.partial(_phase_cell, doc["family"], name1, name2, args.cells, tol)
+    rows = _map_in_order(cell, points)
     meta = _meta(raw, args.seed, tol, {"grid": args.grid, "cells": args.cells, "family": doc["family"]})
     _emit_csv([name1, name2, "winding", "edge_index", "gap_margin"], rows, meta, args.out)
     return 0

@@ -163,8 +163,9 @@ def verify_gap_exclusion(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Veri
 
     Truncation eigenvalues in the shrunken gap window, except those on the
     spurious right edge, must be zero up to the truncation splitting
-    eps_N = 10 q^N (floating-point floored), with q the slowest companion
-    decay.  N is the decay minimum of q (decay_min_cells), at least 100
+    eps_N = max(10 q^N, 1e-12) times the coefficients' norm (norm_scale, at
+    least 1), with q the slowest companion decay: the splitting scales with
+    the hoppings.  N is the decay minimum of q (decay_min_cells), at least 100
     cells; a decay minimum above GAP_EXCLUSION_CELLS_MAX leaves N at 100.
     Left-localized and delocalized hits are checked alike: on a slowly
     decaying chain the two edge modes hybridize into a +-eps pair spread
@@ -184,7 +185,7 @@ def verify_gap_exclusion(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Veri
     cells = max(100, decay_min_cells(q, 1, tol))
     if cells > GAP_EXCLUSION_CELLS_MAX:
         cells = 100
-    eps_n = max(10.0 * q**cells, 1e-12 * cm.base.norm_scale)
+    eps_n = max(10.0 * q**cells, 1e-12) * cm.base.norm_scale
     half_width = 0.5 * (window[1] - window[0])
     if eps_n >= half_width:
         reason = f"truncation splitting eps_n {eps_n:.3e} reaches the window half-width {half_width:.3e}"

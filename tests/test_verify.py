@@ -189,6 +189,17 @@ class TestGapExclusion:
         assert verdict.details["eps_n"] == pytest.approx(7.6e-7, rel=1e-2)
         assert len(verdict.details["checked_energies"]) == 2
 
+    def test_splitting_scales_with_the_hoppings(self):
+        # ssh(970, 1000) is ssh(0.97, 1) times 1000: the same decay and 538
+        # cells, and an edge pair split 1000 times wider (+-4.5e-6), which an
+        # eps_n of 10 q^N = 7.6e-7 alone would reject.
+        small = verify_gap_exclusion(ssh(0.97, 1)).verdicts["zero_confinement"]
+        large = verify_gap_exclusion(ssh(970, 1000)).verdicts["zero_confinement"]
+        assert large.status == "pass"
+        assert large.details["cells"] == small.details["cells"] == 538
+        assert large.details["eps_n"] == pytest.approx(1000 * small.details["eps_n"], rel=1e-12)
+        assert max(abs(e) for e in large.details["checked_energies"]) > 1e-6
+
     def test_splitting_wider_than_the_window_skips(self):
         # ssh(0.99, 1) needs 1612 cells, above GAP_EXCLUSION_CELLS_MAX, so it
         # stays at 100, where eps_n = 10 q^100 ~ 3.7 exceeds the whole gap (-0.01, 0.01).
