@@ -22,11 +22,14 @@ parameter-by-momentum grid) and the winding of its determinant, which must be
 one constant along the whole path.  certify_path evaluates the block a
 stage moves at each (t, momentum) point and the fixed rest once per
 momentum grid, and hands the grid's determinants to the winding check, whose
-128 initial samples are that grid.  The least singular value of the moving
-blocks at one t comes from a pruned SVD (models.least_singular_value): a
-batched inverse bounds each block's sigma_min below by 1/||M^-1||_F, and only
-blocks whose bound does not exceed the running minimum are decomposed, so the
-certificate is the full SVD's float.  The fixed rest's two extremes come from
+128 initial samples are that grid.  The moving blocks of all t of a grid are
+stacked, at most CERT_GRID_CAP blocks (or one t row) at a time, and the
+stack's least singular value comes from one pruned SVD
+(models.least_singular_value): a batched inverse, or a closed form for
+1 x 1 and 2 x 2 blocks, bounds each block's sigma_min below by 1/||M^-1||_F,
+and only blocks whose bound does not exceed the grid's minimum are
+decomposed, so the certificate is the full SVD's float however the grid is
+stacked.  The fixed rest's two extremes come from
 the pruned helpers of models, bit for bit.  The moving blocks' sigma_max is
 bounded above by the largest Frobenius norm, which only makes the 1e-9 test
 stricter.  The rotation stages (factor and split rotations, the
@@ -308,9 +311,13 @@ def certify_path(stages, tol: Tolerances = DEFAULT_TOL):
 
     Singular values are those of the stage's moving block at each grid point
     and of its fixed rest, taken once per momentum grid; the determinant is
-    their product.  At each t, models.least_singular_value takes an SVD only
-    of the blocks whose inverse-norm bound does not rule them out against the
-    running minimum, and returns the full SVD's minimum bit for bit.  The
+    their product.  The moving blocks of the whole grid go to
+    models.least_singular_value as one stack of max(1, CERT_GRID_CAP // nk)
+    t rows at most, so the first grid takes one call and no stack outgrows a
+    single row at the refinement cap; the t slices of each stack give the
+    winding determinants.  It takes an SVD only of the blocks whose
+    inverse-norm bound does not rule them out against the grid's minimum,
+    and returns the full SVD's minimum bit for bit, whatever the stacking.  The
     fixed rest is pruned the same way, once per grid, for both extremes
     (models.largest_singular_value drops the blocks whose Frobenius norm
     rules them out).  The moving block's sigma_max is bounded above by its
@@ -340,14 +347,18 @@ def certify_path(stages, tol: Tolerances = DEFAULT_TOL):
         nt, nk = CERT_GRID_T, CERT_GRID_K
         while True:
             ts = [stage.t_start] if one_t else np.linspace(stage.t_start, stage.t_end, nt)
+            ts = [float(t) for t in ts]
             lams = np.exp(2j * np.pi * np.arange(nk) / nk)
             mn, mx, fixed_det = stage.fixed(lams)
-            for t in map(float, ts):
-                values = stage.moving(t, lams)
-                mn = least_singular_value(values, mn)
-                mx = max(mx, float(np.linalg.norm(values, axis=(1, 2)).max()))
-                if t in wanted and t not in shared:
-                    shared[t] = (lams, np.linalg.det(values) * fixed_det)
+            rows = max(1, CERT_GRID_CAP // nk)
+            for first in range(0, len(ts), rows):
+                chunk = ts[first : first + rows]
+                stack = np.concatenate([stage.moving(t, lams) for t in chunk])
+                mn = least_singular_value(stack, mn)
+                mx = max(mx, float(np.linalg.norm(stack, axis=(1, 2)).max()))
+                for i, t in enumerate(chunk):
+                    if t in wanted and t not in shared:
+                        shared[t] = (lams, np.linalg.det(stack[i * nk : (i + 1) * nk]) * fixed_det)
             if mn > 1e-9 * mx:
                 break
             if nt >= CERT_GRID_CAP and nk >= CERT_GRID_CAP:
@@ -549,14 +560,16 @@ def _linearize_stages(builder: _Builder, planes: np.ndarray):
         current = _per_grid(lambda lams, ev=ev: ev(0.5 * np.pi, lams))
 
     # Row operations reinstate the Horner partials on block row 0.  Their
-    # unipotent factor has determinant 1, so det does not move with t.
+    # unipotent factor has determinant 1, so det does not move with t.  The
+    # partials do not depend on t and are taken once per grid.
     h_k = _horner_partials(planes)
+    partials = _per_grid(lambda lams: np.stack([h_k(kk, lams) for kk in range(1, d)]))
 
     def row_ops(t, lams, prev=current):
         k = len(lams)
         left = np.broadcast_to(np.eye(s), (k, s, s)).astype(complex).copy()
-        for kk in range(1, d):
-            left[:, :m, kk * m : (kk + 1) * m] = -t * h_k(kk, lams)
+        for kk, h in enumerate(partials(lams), start=1):
+            left[:, :m, kk * m : (kk + 1) * m] = -t * h
         return left @ prev(lams)
 
     builder.add_stage(

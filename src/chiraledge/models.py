@@ -71,13 +71,23 @@ def least_singular_value(blocks: np.ndarray, cutoff: float = np.inf) -> float:
     one SVD of the rest.  The slack covers the bound's rounding, at most
     n kappa eps, for kappa below 1e9.  An exactly singular block makes the
     inverse fail, and then every block is decomposed; so is every block whose
-    ||M^-1||_F is below 1e-150, where its squared entries may underflow.  For
-    1 x 1 blocks ||M^-1||_F is 1/|h|, with no inverse taken; a zero entry is
-    decomposed with every block, as a failed inverse is.
+    ||M^-1||_F is below 1e-150, where its squared entries may underflow, or
+    above 1e150, where a 2 x 2 block's ||M||_F or determinant may have gone
+    subnormal.  Small blocks take no inverse.  For 1 x 1 blocks ||M^-1||_F
+    is 1/|h|.  For 2 x 2 blocks [[a, b], [c, d]] it is ||M||_F / |ad - bc|;
+    the computed ad - bc carries a relative error of about
+    eps (|ad| + |bc|) / |ad - bc| <= eps ||M||_F^2 / (sigma_1 sigma_2) <= 2 eps kappa,
+    which the 1e-6 slack covers for kappa below 1e9.  A zero entry or zero
+    determinant decomposes every block, as a failed inverse does.
     """
     if blocks.shape[1] == 1:
         mags = np.abs(blocks[:, 0, 0])
         inv_norm = 1.0 / mags if mags.all() else None
+    elif blocks.shape[1] == 2:
+        # An overflowed determinant reads inf or NaN, and the block is kept below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            dets = np.abs(blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0])
+            inv_norm = np.linalg.norm(blocks, axis=(1, 2)) / dets if dets.all() else None
     else:
         try:
             inv_norm = np.linalg.norm(np.linalg.inv(blocks), axis=(1, 2))
@@ -88,7 +98,7 @@ def least_singular_value(blocks: np.ndarray, cutoff: float = np.inf) -> float:
     anchor = int(np.argmax(inv_norm))
     c = min(cutoff, float(np.linalg.svd(blocks[anchor : anchor + 1], compute_uv=False)[0, -1]))
     # Drop where lower = 1/inv_norm > c (1 + 1e-6); NaN bounds stay kept.
-    kept = ~(inv_norm * (c * (1 + 1e-6)) < 1.0) | (inv_norm < 1e-150)
+    kept = ~(inv_norm * (c * (1 + 1e-6)) < 1.0) | (inv_norm < 1e-150) | (inv_norm > 1e150)
     kept[anchor] = False
     if not kept.any():
         return c

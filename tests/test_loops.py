@@ -12,6 +12,7 @@ from chiraledge.loops import (
     Stage,
     _Builder,
     _factor_stages,
+    _linearize_stages,
     _projectionize_stages,
     certify_path,
     companion_pencil,
@@ -420,10 +421,11 @@ class TestCertifyPath:
                 assert cert == min(float(np.min(lo)), svd_min), stage.description
 
     def test_svd_only_where_the_bound_cannot_rule_out(self, monkeypatch):
-        # Every grid point gets a batched inverse; at most 35% of them an SVD.
-        # Measured: 27.7%, 26.9% for the moving blocks and 0.8% for the fixed
-        # rests, pruned once per grid.  Nothing here refines, so each stage's
-        # grid points are those of its final grid.
+        # Every grid point gets an inverse-norm bound; at most 35% of them an
+        # SVD.  Measured under one anchor per stage grid: 23.6%, 22.7% for
+        # the moving blocks and 0.85% for the fixed rests, pruned once per
+        # grid.  Nothing here refines, so each stage's grid points are those
+        # of its final grid.
         paths = [full_deformation(cm).stages for cm in certified_symbols()]
         decomposed = []
         svd = np.linalg.svd
@@ -439,6 +441,90 @@ class TestCertifyPath:
             points += sum(nt * nk for nt, nk in grids)
         monkeypatch.undo()
         assert 0 < sum(decomposed) <= 0.35 * points
+
+    def test_one_pruned_svd_per_stage_grid(self, monkeypatch):
+        # The moving blocks of every t of a stage's first grid, up to 9 x 128
+        # of them, go through one least_singular_value call; the fixed rest
+        # makes its own calls inside stage.fixed.
+        paths = [full_deformation(cm).stages for cm in certified_symbols()]
+        sizes, in_fixed = [], []
+
+        def spy(blocks, cutoff=np.inf):
+            if not in_fixed:
+                sizes.append(len(blocks))
+            return least_singular_value(blocks, cutoff)
+
+        def flagged(stage):
+            def fixed(lams, inner=stage.fixed):
+                in_fixed.append(True)
+                try:
+                    return inner(lams)
+                finally:
+                    in_fixed.pop()
+
+            return dataclasses.replace(stage, fixed=fixed)
+
+        monkeypatch.setattr(loops, "least_singular_value", spy)
+        for stages in paths:
+            sizes.clear()
+            _, _, grids = certify_path([flagged(s) for s in stages])
+            assert all(nk == CERT_GRID_K for _, nk in grids)
+            assert sizes == [nt * nk for nt, nk in grids]
+
+    @pytest.mark.parametrize(
+        "cap,sizes",
+        [
+            # 9 x 128 in stacks of 4 rows, then 18 x 256 in stacks of 2.
+            (512, [512, 512, 128] + [512] * 9),
+            # Below one 128-point row the stacks hold one row each; the
+            # momentum grid then shrinks to the cap.
+            (64, [128] * 9 + [64] * 18),
+        ],
+    )
+    def test_stacks_stay_within_the_grid_cap(self, monkeypatch, cap, sizes):
+        seen = []
+
+        def spy(blocks, cutoff=np.inf):
+            seen.append(len(blocks))
+            return least_singular_value(blocks, cutoff)
+
+        expected = certify_path([refining_stage()])
+        monkeypatch.setattr(loops, "least_singular_value", spy)
+        monkeypatch.setattr(loops, "CERT_GRID_CAP", cap)
+        certificates, windings, grids = certify_path([refining_stage()])
+        assert seen == sizes
+        assert max(seen) <= max(CERT_GRID_K, cap)
+        if cap == 512:
+            # The same grids as at the default cap, so the same floats.
+            assert (certificates, windings, grids) == expected
+
+    @pytest.mark.parametrize("index", [9, 10])
+    def test_horner_partials_once_per_grid(self, monkeypatch, index):
+        # The row operations' Horner partials H_1 .. H_{d-1} do not depend on
+        # t, so each is taken once on the certificate grid, not once per t.
+        calls = []
+        horner = loops._horner_partials
+
+        def counted(planes):
+            h_k = horner(planes)
+
+            def wrapped(k, lams):
+                calls.append((k, lams.tobytes()))
+                return h_k(k, lams)
+
+            return wrapped
+
+        monkeypatch.setattr(loops, "_horner_partials", counted)
+        builder, p_loop = factored(certified_symbols()[index].symbol("pm"))
+        d = p_loop.coeffs.shape[0] - 1
+        assert d >= 3
+        _linearize_stages(builder, p_loop.coeffs)
+        (stage,) = [s for s in builder.stages if s.description == "linearize: unipotent row operations"]
+        calls.clear()
+        _, _, grids = certify_path([stage])
+        assert grids == [(CERT_GRID_T, CERT_GRID_K)]
+        grid = np.exp(2j * np.pi * np.arange(CERT_GRID_K) / CERT_GRID_K).tobytes()
+        assert sorted(k for k, key in calls if key == grid) == list(range(1, d))
 
     def test_singular_stage_refused_at_the_grid_cap(self, monkeypatch):
         # Exactly 0 at t_start on every grid: the batched inverse fails, every
@@ -499,7 +585,13 @@ class TestLeastSingularValue:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("kind", STACK_KINDS)
-    def test_equals_full_svd_minimum(self, kind, n):
+    def test_equals_full_svd_minimum(self, kind, n, monkeypatch):
+        if n <= 2:
+            # ||M^-1||_F is 1/|h| or ||M||_F / |ad - bc|: no inverse is taken.
+            def no_inverse(*args, **kwargs):
+                raise AssertionError(f"np.linalg.inv called on {n} x {n} blocks")
+
+            monkeypatch.setattr(np.linalg, "inv", no_inverse)
         rng = np.random.default_rng([n, len(kind)])
         for _ in range(25):
             stack = adversarial_stack(kind, n, rng)
@@ -516,6 +608,39 @@ class TestLeastSingularValue:
             exact = self.full_minimum(stack, np.inf)
             for cutoff in (np.inf, exact, 0.5 * exact):
                 assert least_singular_value(stack, cutoff) == self.full_minimum(stack, cutoff)
+
+    def test_zero_two_by_two_determinant_decomposes_every_block(self, monkeypatch):
+        # [[a, 2a], [b, 2b]] has ad - bc = 0 exactly: as with a failed
+        # inverse, the whole stack goes to one SVD.
+        rng = np.random.default_rng(6)
+        svd = np.linalg.svd
+        seen = []
+
+        def counted(a, *args, **kwargs):
+            seen.append(len(a))
+            return svd(a, *args, **kwargs)
+
+        for _ in range(10):
+            stack = adversarial_stack("kappa to 1e8", 2, rng)
+            a, b = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            stack[rng.integers(len(stack))] = [[a, 2 * a], [b, 2 * b]]
+            for cutoff in (np.inf, 0.5):
+                seen.clear()
+                monkeypatch.setattr(np.linalg, "svd", counted)
+                value = least_singular_value(stack, cutoff)
+                monkeypatch.undo()
+                assert seen == [len(stack)]
+                assert value == self.full_minimum(stack, cutoff)
+
+    def test_subnormal_two_by_two_determinants(self):
+        # diag(2^-300, y) has ad - bc = 2^-300 y, about 10.5 subnormal quanta
+        # here: it rounds to 11, so the bound of the y = 10.51 block reads
+        # above the least singular value 10.72 of the anchor and would drop
+        # it.  A bound ||M^-1||_F above 1e150 keeps the block.
+        quantum = 2.0**-1074 / 2.0**-300
+        stack = np.array([np.diag([2.0**-300, r * quantum]) for r in (10.72, 10.51)], dtype=complex)
+        for cutoff in (np.inf, 11 * quantum):
+            assert least_singular_value(stack, cutoff) == self.full_minimum(stack, cutoff) == 10.51 * quantum
 
     def test_exactly_zero_scalar_block(self):
         # A zero entry has no inverse norm, so every block is decomposed.
