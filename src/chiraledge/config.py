@@ -52,35 +52,33 @@ CERT_GRID_CAP = 2**12
 # Half-space truncation sizes.  Dense SVD up to DENSE_SVD_MAX matrix dimension;
 # beyond that the kernel count finds the eigenvalues nearest zero of the
 # augmented matrix [[0, T], [T*, 0]], factored once as a band matrix, by block
-# shift-invert subspace iteration.  Per section, mean over ssh(0.9, 1),
+# shift-invert subspace iteration.  Per section, range over ssh(0.9, 1),
 # ssh(1, 0.9) and three (2, 2) and three (4, 2) random draws (seed 7), fastest
-# of 3 calls, two runs, one BLAS thread, 2 vCPU.  The "augmented" row is the
-# band LU with ARPACK's shift-invert eigsh that preceded the subspace
-# iteration; the "subspace" row is measured the same way:
-#   dimension  96       128      144      160      192       256       384     768
-#   dense SVD  2.3-2.3  4.8-5.0  6.0-7.3  7.9-9.9  11.8-13.5 24.6-27.0 75-80   667-668 ms
-#   augmented  3.1-4.8  3.7-5.7  3.5-6.2  3.7-6.7  4.0-7.1   6.2-9.2   9.3-15  28-39 ms
-#   dense SVD  2.9-3.3  5.2-5.5  5.7-7.3  8.5-9.9  13.1-15.5 24.1-32.3 73-91   696-716 ms
-#   subspace   2.2-2.6  2.3-2.7  2.5-2.8  2.7-3.0  2.8-3.2   3.0-3.4   3.5-4.1 6.3-6.7 ms
-# The subspace iteration now wins at 96 dimensions too.  The switch stays at
-# 144 because perfbench places its ensemble slots on either side of it
-# (Ensemble._bounds reads it): moving it is a change to the benchmark.
-# Below the switch the dense SVD wins, which is why there are two paths:
-# fastest of 7 calls, one BLAS thread, over ssh(0.5, 1), ssh(1, 0.5) and
-# three seed-7 draws each of (2, 2), (2, 3), (4, 1) and (4, 2), every kernel
-# count equal on both paths:
-#   dimension  8          16         32         64         96         128
-#   dense SVD  0.04-0.06  0.07-0.17  0.16-0.28  0.42-1.08  1.62-2.68  3.07-5.44 ms
-#   subspace   0.53-0.74  0.49-0.91  0.55-0.89  0.52-1.03  0.59-1.49  0.79-1.43 ms
-# The deform endpoint's 8R-cell sections and the 64-cell phase-diagram
-# cells with q = 1 sit on the dense side.
+# of 3 calls, one BLAS thread, 2 vCPU, every kernel count equal on both paths:
+#   dimension  96         128        144        160         192          256          384          768
+#   dense SVD  1.95-2.98  3.97-7.60  5.76-8.87  8.66-11.43  11.72-16.82  26.17-28.85  74.32-78.23  640-699 ms
+#   subspace   0.63-1.20  0.60-2.18  0.86-1.92  0.86-1.79   0.71-2.07    0.74-2.46    0.95-3.16    1.53-8.61 ms
+# On small sections the dense SVD wins, which is why there are two paths:
+# range over ssh(0.5, 1), ssh(1, 0.5) and three seed-7 draws each of (2, 2),
+# (2, 3), (4, 1) and (4, 2), fastest of 7 calls, the same machine and threads:
+#   dimension  8          16         32         48         64         80         96         128
+#   dense SVD  0.05-0.07  0.08-0.19  0.18-0.27  0.34-0.63  0.48-1.10  1.23-1.85  1.91-4.07  4.10-7.31 ms
+#   subspace   0.40-0.68  0.39-0.83  0.50-0.76  0.46-0.86  0.46-0.96  0.55-1.11  0.54-1.20  0.71-1.90 ms
+# At 64 dimensions the paths tie within the run-to-run spread (the subspace
+# iteration was faster on 13 of the 14 sections in this run, on 7 in
+# another); from 80 up it is faster on every one.  So the switch sits at 64,
+# the CELLS_MIN_DEFAULT floor for q = 1: the deform endpoint's 8R-cell
+# sections, the 64-cell q = 1 phase-diagram cells and explicit small cells
+# stay dense.  perfbench places its ensemble slots on either side of the
+# switch (Ensemble._bounds reads it); on seeds 11-20, 772 of its 800 slots
+# hold the same model under the switch at 64 as at 144.
 # The kernel threshold scale smax is the section's largest singular value on
 # the dense path and the symbol's MatrixLoop.norm_bound() on the sparse path;
 # both are valid because a finite section's norm is at most the sup of
 # ||h_pm(lambda)|| over the unit circle.
 CELLS_MIN_DEFAULT = 64
 CELLS_CAP = 32768
-DENSE_SVD_MAX = 144
+DENSE_SVD_MAX = 64
 
 # Fraction of ensemble draws given a deliberately singular leading hop block.
 SINGULAR_DRAW_FRACTION = 0.2

@@ -8,9 +8,9 @@ splits into the kernels of the two off-diagonal block operators h_pm and
 h_mp; their dimensions are computed either from the singular vectors of h_pm's
 finite section, whose adjoint is h_mp's, or from the intersection of the
 Dirichlet subspace with the decaying sector of each block's recurrence
-pencil; both work for singular A_R.  _section_diagonals lays out every
-section, dense or sparse.  The truncation has a spurious right edge, so only
-left-localized kernel directions are counted.
+pencil; both work for singular A_R.  _section_diagonals lays out the dense
+section, _augmented_band the banded one.  The truncation has a spurious right
+edge, so only left-localized kernel directions are counted.
 
 Kernel singular values are judged against tol.kernel * smax.  The dense path
 takes smax as the section's largest singular value, which its SVD gives for
@@ -28,7 +28,8 @@ the augmented matrix is banded, kl = ku = q(2R + 2) - 1 (_augmented_band).
 LAPACK's band LU factors it once, shifted, and a block shift-invert subspace
 iteration (_shift_invert_subspace) finds those eigenvalues: each step is one
 band triangular solve for the whole block and a Rayleigh-Ritz step, and
-three steps suffice on every benchmark section.
+three steps suffice on every section of the 1000 criterion-4 models and of
+the ensemble benchmark's 400 items of seeds 1-5.
 """
 
 from __future__ import annotations
@@ -94,12 +95,17 @@ def _augmented_band(symbol: MatrixLoop, cells: int):
     q = symbol.coeffs.shape[1]
     kl = q * (2 * max(-symbol.lowest_power, symbol.highest_power) + 2) - 1
     band = np.zeros((3 * kl + 1, 2 * cells * q), dtype=complex)
-    i, j = np.arange(q)[:, None, None], np.arange(q)[None, :, None]
-    for power, c, n in _section_diagonals(symbol, cells):
-        d = 2 * q * power + q + j - i
-        top = 2 * q * n + i
-        band[2 * kl - d, top + d] = c[..., None]
-        band[2 * kl + d, top] = c.conj()[..., None]
+    # Column 2qm + s of the band is cols[:, m, s].  T's entry (i, j) of block
+    # (n, n + p) sits in column cell m = n + p, T*'s mirror in column cell n;
+    # each triangle is one assignment over every power, i, j and cell, with
+    # zeros where the block falls outside the section.
+    cols = band.reshape(3 * kl + 1, cells, 2 * q)
+    p = symbol.lowest_power + np.arange(len(symbol.coeffs))[:, None, None, None]
+    i, j = np.arange(q)[:, None, None], np.arange(q)[:, None]
+    cell = np.arange(cells)
+    c = symbol.coeffs[..., None]
+    cols[2 * kl - 2 * q * p - q + i - j, cell, q + j] = np.where((cell >= p) & (cell - p < cells), c, 0)
+    cols[2 * kl + 2 * q * p + q + j - i, cell, i] = np.where((cell >= -p) & (cell + p < cells), c.conj(), 0)
     return band, kl
 
 
@@ -192,10 +198,27 @@ def _left_localized(vectors: np.ndarray, cells: int) -> tuple[int, np.ndarray]:
     return int(sel.sum()), ortho @ basis[:, sel]
 
 
-# Steps of _shift_invert_subspace before it refuses.  Every sparse section of
-# the ensemble benchmark (seeds 1-5) and of the 1000 criterion-4 models stops
-# after the minimum of three.
+# Steps of _shift_invert_subspace before it refuses.  With the switch at 64
+# dimensions, each of its 893 calls on the 1000 criterion-4 models and 358
+# calls on the ensemble benchmark's 400 items of seeds 1-5 (drawn under the
+# switch at 144) stops after the minimum of three; 3 of them follow a block
+# doubling.
 _SUBSPACE_STEP_CAP = 100
+
+
+def _economic_q(x: np.ndarray) -> np.ndarray:
+    """scipy.linalg.qr(x, mode="economic")[0] bit for bit, from LAPACK's geqrf and orgqr/ungqr directly.
+
+    scipy.linalg.qr also asks each routine for its workspace, p times the
+    block size 32; these routines shrink the block only below that, so 64 p
+    keeps the blocking, and every bit of Q, while skipping the two queries.
+    The first block of the iteration is real, the rest complex.
+    """
+    lapack = scipy.linalg.lapack
+    geqrf, orgqr = (lapack.zgeqrf, lapack.zungqr) if np.iscomplexobj(x) else (lapack.dgeqrf, lapack.dorgqr)
+    lwork = 64 * x.shape[1]
+    qr, tau = geqrf(x, lwork=lwork)[:2]
+    return orgqr(qr, tau, lwork=lwork, overwrite_a=True)[0]
 
 
 def _shift_invert_subspace(lu, piv, kl: int, shift: float, tau: float, start: np.ndarray):
@@ -221,7 +244,7 @@ def _shift_invert_subspace(lu, piv, kl: int, shift: float, tau: float, start: np
     x = start
     inside_before = -1
     for step in range(1, _SUBSPACE_STEP_CAP + 1):
-        q = scipy.linalg.qr(x, mode="economic", check_finite=False)[0]
+        q = _economic_q(x)
         z = scipy.linalg.lapack.zgbtrs(lu, kl, kl, q, piv)[0]
         h = q.conj().T @ z
         if not np.isfinite(h).all():
@@ -230,9 +253,10 @@ def _shift_invert_subspace(lu, piv, kl: int, shift: float, tau: float, start: np
         x = z @ w
         vals = shift + 1.0 / mu
         inside = np.flatnonzero(np.abs(vals) < 10 * tau)
-        residual = np.linalg.norm(x[:, inside] - (q @ w[:, inside]) * mu[inside], axis=0)
-        if step >= 3 and len(inside) == inside_before and (residual <= 1e-3 * np.abs(mu[inside])).all():
-            return vals, q @ w
+        if step >= 3 and len(inside) == inside_before:
+            residual = np.linalg.norm(x[:, inside] - (q @ w[:, inside]) * mu[inside], axis=0)
+            if (residual <= 1e-3 * np.abs(mu[inside])).all():
+                return vals, q @ w
         inside_before = len(inside)
     raise NonConvergent(f"subspace iteration on the augmented section took over {_SUBSPACE_STEP_CAP} steps")
 

@@ -197,6 +197,11 @@ class TestDecayScaleEstimate:
             edge_modes_truncated(ssh(0.995, 1), tol=tol)
 
 
+# Section dimensions of the automatic route that the dense SVD counted while
+# the switch sat at 144 and the band LU counts since it sits at 64.
+MOVED_RANGE = (65, 96, 128, 144)
+
+
 class TestEdgeModesTruncated:
     def test_dimerized_fixtures(self):
         for cm, expected in (
@@ -250,26 +255,53 @@ class TestEdgeModesTruncated:
         assert edge_modes_truncated(cm, cells=report.truncation_cells).edge_index == report.edge_index
 
     @pytest.mark.parametrize(
-        "make",
+        "make,dims",
         [
-            lambda: ssh(1.0, 1.3),
-            lambda: defective(theta=0.5),
-            lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=4, hop_range=2))[2],
-            lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=2, hop_range=3))[1],
-            lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=6, hop_range=1))[0],
-            lambda: ssh(0.97, 1.0),
+            (lambda: ssh(1.0, 1.3), None),
+            (lambda: defective(theta=0.5), None),
+            (lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=4, hop_range=2))[2], None),
+            (lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=2, hop_range=3))[1], None),
+            (lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=6, hop_range=1))[0], None),
+            (lambda: ssh(0.97, 1.0), None),
+            (lambda: ssh(0.9, 1.0), MOVED_RANGE),
+            (lambda: ssh(1.0, 0.9), MOVED_RANGE),
+            (lambda: random_chiral_ensemble(EnsembleSpec(seed=3, count=2, dim_v=2, hop_range=2))[1], MOVED_RANGE),
+            (lambda: random_chiral_ensemble(EnsembleSpec(seed=5, count=5, dim_v=2, hop_range=3))[4], MOVED_RANGE),
+            (lambda: random_chiral_ensemble(EnsembleSpec(seed=1, count=2, dim_v=4, hop_range=1))[1], MOVED_RANGE),
+            (lambda: random_chiral_ensemble(EnsembleSpec(seed=3, count=1, dim_v=4, hop_range=2))[0], MOVED_RANGE),
         ],
-        ids=["ssh", "defective", "random-4-2", "random-2-3", "random-6-1", "ssh-slow-decay"],
+        ids=[
+            "ssh",
+            "defective",
+            "random-4-2",
+            "random-2-3",
+            "random-6-1",
+            "ssh-slow-decay",
+            "moved-range-ssh",
+            "moved-range-ssh-trivial",
+            "moved-range-random-2-2",
+            "moved-range-random-2-3",
+            "moved-range-random-4-1",
+            "moved-range-random-4-2",
+        ],
     )
-    def test_sparse_path_matches_dense(self, make):
-        # Both branches on the same sections: the automatic size, which is at
-        # least the decay minimum (538 cells for ssh(0.97, 1)), and twice
-        # that, where the kernel singular values are zero to rounding.  The
-        # left-localized kernel subspaces agree to rounding: two subspace
-        # iteration steps instead of three left a principal angle of 2e-7.
+    def test_sparse_path_matches_dense(self, make, dims):
+        # Both branches on the same sections: by default the automatic size,
+        # which is at least the decay minimum (538 cells for ssh(0.97, 1)),
+        # and twice that, where the kernel singular values are zero to
+        # rounding; otherwise the sections of 65 to 144 dimensions that left
+        # the dense path when the switch moved from 144 down to 64 (the four
+        # draws' automatic sizes lie there, with kernels (1, 0), (2, 0),
+        # (1, 0) and (0, 1)).  The left-localized kernel subspaces agree to
+        # rounding: two subspace iteration steps instead of three left a
+        # principal angle of 2e-7.
         cm = make()
-        cells = edge_modes_truncated(cm).truncation_cells
-        for size in (cells, 2 * cells):
+        if dims is None:
+            cells = edge_modes_truncated(cm).truncation_cells
+            sizes = (cells, 2 * cells)
+        else:
+            sizes = [-(-dim // cm.dim_plus) for dim in dims]
+        for size in sizes:
             dense, sparse = both_branches(cm, size)
             assert (dense[0], dense[1], dense[5], len(dense[4])) == (
                 sparse[0],
@@ -413,6 +445,119 @@ class TestSubspaceIteration:
         # The start block comes from a fixed seed.
         first, second = (json.dumps(edge_modes_truncated(ssh(0.9, 1.0)).to_dict()) for _ in range(2))
         assert first == second
+
+    @pytest.mark.parametrize(
+        "make,cells",
+        [
+            (lambda: ssh(0.9, 1.0), 96),
+            (lambda: random_chiral_ensemble(EnsembleSpec(seed=3, count=1, dim_v=4, hop_range=2))[0], 48),
+        ],
+        ids=["ssh", "random-4-2"],
+    )
+    def test_moved_section_takes_three_solves(self, make, cells, monkeypatch):
+        # 96 dimensions: the band route since the switch moved from 144 to
+        # 64.  One block of 2 R q + 2 columns stops at the three-solve minimum.
+        cm = make()
+        zgbtrs = scipy.linalg.lapack.zgbtrs
+        widths = []
+
+        def counting(lu, kl, ku, b, piv):
+            widths.append(b.shape[1])
+            return zgbtrs(lu, kl, ku, b, piv)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrs", counting)
+        halfspace._truncated_kernel_counts(cm, cells, DEFAULT_TOL)
+        assert widths == [2 * cm.hop_range * cm.dim_plus + 2] * 3
+
+    @pytest.mark.parametrize("shape", [(300, 4), (4800, 10), (600, 150)])
+    @pytest.mark.parametrize("complex_block", [False, True])
+    def test_economic_q_is_scipy_qr(self, shape, complex_block):
+        # 150 columns pass LAPACK's crossover to blocked Householder steps,
+        # where a short workspace would change the blocking.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if complex_block else 0)
+        kept = x.copy()
+        q = halfspace._economic_q(x)
+        assert np.array_equal(x, kept)
+        assert q.dtype == x.dtype
+        assert np.array_equal(q, scipy.linalg.qr(x, mode="economic", check_finite=False)[0])
+
+
+# The module names the two reference copies below read.
+_section_diagonals = halfspace._section_diagonals
+_SUBSPACE_STEP_CAP = halfspace._SUBSPACE_STEP_CAP
+
+
+def reference_augmented_band(symbol: MatrixLoop, cells: int):
+    """halfspace._augmented_band as it was before its one-assignment fill: a loop over the powers."""
+    q = symbol.coeffs.shape[1]
+    kl = q * (2 * max(-symbol.lowest_power, symbol.highest_power) + 2) - 1
+    band = np.zeros((3 * kl + 1, 2 * cells * q), dtype=complex)
+    i, j = np.arange(q)[:, None, None], np.arange(q)[None, :, None]
+    for power, c, n in _section_diagonals(symbol, cells):
+        d = 2 * q * power + q + j - i
+        top = 2 * q * n + i
+        band[2 * kl - d, top + d] = c[..., None]
+        band[2 * kl + d, top] = c.conj()[..., None]
+    return band, kl
+
+
+def reference_shift_invert_subspace(lu, piv, kl: int, shift: float, tau: float, start: np.ndarray):
+    """halfspace._shift_invert_subspace as it was before its direct LAPACK QR and its residual on stopping steps only."""
+    x = start
+    inside_before = -1
+    for step in range(1, _SUBSPACE_STEP_CAP + 1):
+        q = scipy.linalg.qr(x, mode="economic", check_finite=False)[0]
+        z = scipy.linalg.lapack.zgbtrs(lu, kl, kl, q, piv)[0]
+        h = q.conj().T @ z
+        if not np.isfinite(h).all():
+            raise NonConvergent("non-finite band solve in the augmented section's subspace iteration")
+        mu, w = np.linalg.eigh(h)
+        x = z @ w
+        vals = shift + 1.0 / mu
+        inside = np.flatnonzero(np.abs(vals) < 10 * tau)
+        residual = np.linalg.norm(x[:, inside] - (q @ w[:, inside]) * mu[inside], axis=0)
+        if step >= 3 and len(inside) == inside_before and (residual <= 1e-3 * np.abs(mu[inside])).all():
+            return vals, q @ w
+        inside_before = len(inside)
+    raise NonConvergent(f"subspace iteration on the augmented section took over {_SUBSPACE_STEP_CAP} steps")
+
+
+class TestLeanerBandRoute:
+    # Sections above 144 dimensions that the tests above use: the band and
+    # the Ritz pairs equal the reference copies' bit for bit.
+    @pytest.mark.parametrize(
+        "make,cells",
+        [
+            (lambda: ssh(0.97, 1.0), 538),
+            (lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=4, hop_range=2))[2], None),
+            (lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=2, hop_range=3))[1], None),
+            (lambda: random_chiral_ensemble(EnsembleSpec(seed=4, count=3, dim_v=6, hop_range=1))[0], None),
+        ],
+        ids=["ssh-slow-decay", "random-4-2", "random-2-3", "random-6-1"],
+    )
+    def test_ritz_pairs_equal_the_reference(self, make, cells):
+        cm = make()
+        if cells is None:
+            cells = edge_modes_truncated(cm).truncation_cells
+        assert cells * cm.dim_plus > 144
+        symbol = cm.symbol("pm")
+        band, kl = halfspace._augmented_band(symbol, cells)
+        reference_band, reference_kl = reference_augmented_band(symbol, cells)
+        assert kl == reference_kl
+        assert np.array_equal(band, reference_band)
+        smax = symbol.norm_bound()
+        shift = 1e-9 * smax
+        band[2 * kl] = -shift
+        lu, piv, info = scipy.linalg.lapack.zgbtrf(band, kl, kl)
+        assert info == 0
+        p = 2 * cm.hop_range * cm.dim_plus + 2
+        start = np.random.default_rng(0).standard_normal((2 * cells * cm.dim_plus, p))
+        args = (lu, piv, kl, shift, DEFAULT_TOL.kernel * smax, start)
+        vals, vecs = halfspace._shift_invert_subspace(*args)
+        reference_vals, reference_vecs = reference_shift_invert_subspace(*args)
+        assert np.array_equal(vals, reference_vals)
+        assert np.array_equal(vecs, reference_vecs)
 
 
 def random_loop(rng, lowest, planes, q):
