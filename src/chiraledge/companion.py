@@ -347,7 +347,11 @@ def decay_rate(mode: LatticeMode, tol: Tolerances = DEFAULT_TOL) -> float:
         # The log-n regressor needs positive indices; a constant shift only
         # perturbs the polynomial factor, not the geometric rate.
         ns = ns + (1 - ns.min())
+    return float(np.exp(log_slope(ns, norms)))
+
+
+def log_slope(ns: np.ndarray, norms: np.ndarray) -> float:
+    """Coefficient of n in the least-squares fit of log norms against (1, log n, n), all ns >= 1."""
     x = ns.astype(float)
     design = np.column_stack([np.ones_like(x), np.log(x), x])
-    coef, *_ = np.linalg.lstsq(design, np.log(norms), rcond=None)
-    return float(np.exp(coef[2]))
+    return float(np.linalg.lstsq(design, np.log(norms), rcond=None)[0][2])

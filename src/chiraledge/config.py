@@ -66,17 +66,16 @@ CERT_GRID_CAP = 2**12
 #   subspace   0.40-0.68  0.39-0.83  0.50-0.76  0.46-0.86  0.46-0.96  0.55-1.11  0.54-1.20  0.71-1.90 ms
 # At 64 dimensions the paths tie within the run-to-run spread (the subspace
 # iteration was faster on 13 of the 14 sections in this run, on 7 in
-# another); from 80 up it is faster on every one.  So the switch sits at 64,
-# the CELLS_MIN_DEFAULT floor for q = 1: the deform endpoint's 8R-cell
-# sections, the 64-cell q = 1 phase-diagram cells and explicit small cells
-# stay dense.  perfbench places its ensemble slots on either side of the
-# switch (Ensemble._bounds reads it); on seeds 11-20, 772 of its 800 slots
-# hold the same model under the switch at 64 as at 144.
+# another); from 80 up it is faster on every one.  So the switch sits at 64:
+# small deform endpoints (8R cells) and q = 1 sections of at most 64 cells
+# (defective's 32, ssh decaying by 0.75 a cell or faster) stay dense.
+# perfbench places its ensemble slots on either side of the switch
+# (Ensemble._bounds reads it); on seeds 11-20, 772 of its 800 slots hold the
+# same model under the switch at 64 as at 144.
 # The kernel threshold scale smax is the section's largest singular value on
 # the dense path and the symbol's MatrixLoop.norm_bound() on the sparse path;
 # both are valid because a finite section's norm is at most the sup of
 # ||h_pm(lambda)|| over the unit circle.
-CELLS_MIN_DEFAULT = 64
 CELLS_CAP = 32768
 DENSE_SVD_MAX = 64
 

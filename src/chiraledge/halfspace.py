@@ -41,8 +41,8 @@ import numpy as np
 import scipy.linalg
 
 # spectral_split is unused here but stays importable: perfbench/spans.py wraps it.
-from .companion import decaying_sector, spectral_split
-from .config import CELLS_CAP, CELLS_MIN_DEFAULT, DENSE_SVD_MAX, DEFAULT_TOL, Tolerances
+from .companion import decaying_sector, log_slope, spectral_split
+from .config import CELLS_CAP, DENSE_SVD_MAX, DEFAULT_TOL, Tolerances
 from .errors import (
     AmbiguousKernel,
     GapNotCertified,
@@ -154,10 +154,7 @@ def _localization_fit(norms: np.ndarray, from_left: bool = True) -> float:
     the solvers' rounding, where the dense SVD and the sparse route gave
     lengths up to 38% apart for the same kernel.
     """
-    mx = norms.max()
-    if mx == 0:
-        return 0.0
-    keep = np.flatnonzero(norms > 1e-10 * mx)
+    keep = np.flatnonzero(norms > 1e-10 * norms.max())
     if len(keep) < 3:
         return 0.0
     xs = keep.astype(float)
@@ -166,9 +163,22 @@ def _localization_fit(norms: np.ndarray, from_left: bool = True) -> float:
         xs = xs[::-1] * -1.0
         ys = ys[::-1]
     slope = np.polyfit(xs, ys, 1)[0]
-    if slope >= 0:
-        return float("inf")
-    return float(-1.0 / slope)
+    return float("inf") if slope >= 0 else float(-1.0 / slope)
+
+
+def _edge_localization(norms: np.ndarray) -> float:
+    """Decay length (in cells) of a left-localized kernel vector, polynomial prefactors discarded.
+
+    Fits log ||psi_n|| against (1, log(n + 1), n), as companion.decay_rate
+    does, on the left half of the section, which the cut does not distort,
+    and on cell norms above the solvers' rounding, 1e-10 of the maximum.
+    """
+    half = norms[: len(norms) // 2]
+    keep = np.flatnonzero(half > 1e-10 * half.max())
+    if len(keep) < 3:
+        return 0.0
+    slope = log_slope(keep + 1, half[keep])
+    return float("inf") if slope >= 0 else -1.0 / slope
 
 
 def _left_localized(vectors: np.ndarray, cells: int) -> tuple[int, np.ndarray]:
@@ -337,13 +347,13 @@ def edge_modes_truncated(
     """Kernel dimensions of the truncated graded blocks at zero energy, left-localized only.
 
     Works for singular A_R.  The gap around 0 must be certified; by default
-    chiral_gap certifies it.  With
-    cells=None the truncation size is max(CELLS_MIN_DEFAULT, the decay minimum)
-    and ambiguous singular values trigger automatic refinement; with an
+    chiral_gap certifies it.  With cells=None the truncation size is the decay
+    minimum (decay_min_cells of the decay estimate), capped at
+    CELLS_CAP // dim_plus, and ambiguous singular values double it; with an
     explicit cells they raise AmbiguousKernel instead.  An explicit cells
-    shorter than the decay minimum (decay_min_cells of the decay estimate) also
-    raises AmbiguousKernel, since the section would leave a kernel singular
-    value above the threshold and undercount.
+    shorter than the decay minimum also raises AmbiguousKernel, since the
+    section would leave a kernel singular value above the threshold and
+    undercount.
     """
     if not cm.balanced:
         raise UnbalancedGrading("edge index needs balanced graded components")
@@ -352,42 +362,29 @@ def edge_modes_truncated(
     if not gap.gapped or not (gap.e_minus < 0.0 < gap.e_plus):
         raise GapNotCertified("no certified gap around energy 0.0")
 
-    cap = max(CELLS_MIN_DEFAULT, CELLS_CAP // cm.dim_plus)
+    cap = CELLS_CAP // cm.dim_plus
     q_est = decay_scale_estimate(cm, tol)
     minimum = decay_min_cells(q_est, cm.hop_range, tol)
     auto = cells is None
-    if auto:
-        cells = max(CELLS_MIN_DEFAULT, minimum)
-        if cells > cap:
-            # Refusing beats a silent undercount: beyond the cap the kernel
-            # singular values cannot be pushed below the threshold.
-            raise AmbiguousKernel(
-                f"kernel threshold needs ~{cells} cells for decay rate {q_est:.6f}; "
-                f"cap is {cap}"
-            )
-    elif cells < minimum:
-        # Refusing beats a silent undercount, as for the cap above.
+    # Refusing beats a silent undercount: past the cap, or short of the
+    # minimum, a kernel singular value stays above the threshold.
+    if auto and minimum > cap:
+        raise AmbiguousKernel(f"kernel threshold needs ~{minimum} cells for decay rate {q_est:.6f}; cap is {cap}")
+    if not auto and cells < minimum:
         raise AmbiguousKernel(
-            f"{cells} cells are too few for decay rate {q_est:.6f}; "
-            f"the kernel threshold needs at least {minimum}"
+            f"{cells} cells are too few for decay rate {q_est:.6f}; the kernel threshold needs at least {minimum}"
         )
+    cells = minimum if auto else cells
 
     while True:
         pm, mp, pm_vecs, mp_vecs, near, ambiguous = _truncated_kernel_counts(cm, cells, tol)
-        if ambiguous:
-            if auto and cells < cap:
-                cells = min(2 * cells, cap)
-                continue
-            raise AmbiguousKernel(
-                f"singular values inside the undecidable band at {cells} cells; increase cells"
-            )
-        break
+        if not ambiguous:
+            break
+        if not auto or cells >= cap:
+            raise AmbiguousKernel(f"singular values inside the undecidable band at {cells} cells; increase cells")
+        cells = min(2 * cells, cap)
 
-    loc = [
-        _localization_fit(_cell_norms(pm_vecs[:, i], cells)) for i in range(pm_vecs.shape[1])
-    ] + [
-        _localization_fit(_cell_norms(mp_vecs[:, i], cells)) for i in range(mp_vecs.shape[1])
-    ]
+    loc = [_edge_localization(_cell_norms(v, cells)) for v in (*pm_vecs.T, *mp_vecs.T)]
     return EdgeReport(
         dim_ker_pm=pm,
         dim_ker_mp=mp,

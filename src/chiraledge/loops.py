@@ -719,9 +719,9 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
     not count), and W its winding.  The endpoint's edge index, computed by the
     truncated half-space route on the reconstructed model, is recorded in the
     notes and must equal W.  The endpoint is a diagonal of monomials, whose
-    edge modes decay at once, so that section is sized at the decay minimum
-    of rate 0, 8R cells, rather than the 64-cell floor of the automatic size.
-    Its symbol squares to I on the circle, so its gap (-1, 1) is exact.
+    edge modes decay at once, so the automatic size is the decay minimum of
+    rate 0, 8R cells.  Its symbol squares to I on the circle, so its gap
+    (-1, 1) is exact.
     """
     if not cm.balanced:
         raise UnbalancedGrading("deformation needs a balanced graded model")
@@ -739,12 +739,10 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
     endpoint = diagonal_monomials(powers)
     counts = (powers.count(1), powers.count(-1), powers.count(0))
 
-    from .halfspace import decay_min_cells, edge_modes_truncated
+    from .halfspace import edge_modes_truncated
 
-    endpoint_cm = model_from_loop(endpoint, tol)
-    cells = decay_min_cells(0.0, endpoint_cm.hop_range, tol)
     gap = GapReport(True, endpoint.size - 1, -1.0, 1.0, 2.0)
-    endpoint_edge = edge_modes_truncated(endpoint_cm, cells=cells, tol=tol, gap=gap)
+    endpoint_edge = edge_modes_truncated(model_from_loop(endpoint, tol), tol=tol, gap=gap)
     return HomotopyPath(
         stages=builder.stages,
         certificates=certificates,

@@ -254,7 +254,7 @@ class TestPhaseDiagram:
 
     def test_borderline_root_leaves_edge_empty(self, capsys, tmp_path):
         # The root -0.995 lies inside circle_band = 1e-2: the truncated route
-        # refuses rather than read edge index 0 from a 64-cell section.
+        # refuses rather than read edge index 0 from an 8-cell section.
         family = tmp_path / "fam.json"
         family.write_text(
             json.dumps(

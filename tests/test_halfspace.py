@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from chiraledge.config import DEFAULT_TOL
 from chiraledge.errors import (
     AmbiguousKernel,
     BorderlineEigenvalue,
+    ChiralEdgeError,
     GapNotCertified,
     NonConvergent,
     SingularLeadingHop,
@@ -188,8 +190,9 @@ class TestDecayScaleEstimate:
 
     def test_borderline_root_refused(self):
         # ssh(0.995, 1) has its root at -0.995, inside circle_band = 1e-2.  An
-        # estimate that left it out sized the section at 64 cells and read
-        # edge index 0; the true index is 1, reached at 3224 cells.
+        # estimate that left it out would size the section at the 8-cell
+        # margin and read edge index 0; the true index is 1, reached at 3224
+        # cells.
         tol = DEFAULT_TOL.replace(circle_band=1e-2)
         with pytest.raises(BorderlineEigenvalue):
             decay_scale_estimate(ssh(0.995, 1), tol)
@@ -244,15 +247,36 @@ class TestEdgeModesTruncated:
 
     def test_automatic_size_meets_the_explicit_minimum(self):
         # h_pm = lambda^9: zero decay, so the explicit minimum is the 8R = 72
-        # cell margin, above the 64-cell default floor.
+        # cell margin, and the automatic size is that minimum.
         coeffs = np.zeros((10, 1, 1), dtype=complex)
         coeffs[9] = 1.0
         cm = model_from_loop(MatrixLoop(0, coeffs))
         minimum = decay_min_cells(decay_scale_estimate(cm), cm.hop_range, DEFAULT_TOL)
         report = edge_modes_truncated(cm)
         assert minimum == 72
-        assert report.truncation_cells >= minimum
+        assert report.truncation_cells == minimum
         assert edge_modes_truncated(cm, cells=report.truncation_cells).edge_index == report.edge_index
+
+    @pytest.mark.parametrize("m,s,hop_range", [(2, 1, 1), (3, 1, 2), (4, 2, 2), (5, 2, 3), (6, 3, 3)])
+    def test_repeated_roots(self, m, s, hop_range):
+        # h_pm = (lambda + a)^m / lambda^s: an m-fold root, the non-generic
+        # case whose edge modes carry polynomial prefactors n^k a^n, so their
+        # tails are longer than the decay minimum assumes.  The automatic
+        # size reads the winding m - s or refuses (for m >= 5 and a near 0.8
+        # the gap is not certified), and up to 64 cells it counts the same
+        # kernels as the 64-cell section that used to floor it.
+        for a in np.linspace(0.2, 0.8, 25):
+            coeffs = np.array([math.comb(m, k) * a ** (m - k) for k in range(m + 1)], dtype=complex)
+            cm = model_from_loop(MatrixLoop(-s, coeffs[:, None, None]))
+            assert cm.hop_range == hop_range
+            try:
+                report = edge_modes_truncated(cm)
+            except ChiralEdgeError:
+                continue
+            assert report.edge_index == m - s
+            if report.truncation_cells <= 64:
+                floored = edge_modes_truncated(cm, cells=64)
+                assert (floored.dim_ker_pm, floored.dim_ker_mp) == (report.dim_ker_pm, report.dim_ker_mp)
 
     @pytest.mark.parametrize(
         "make,dims",
@@ -366,6 +390,21 @@ class TestLocalizationLengths:
         assert dense.truncation_cells == sparse.truncation_cells
         assert len(dense.localization_lengths) == 2
         assert sorted(sparse.localization_lengths) == pytest.approx(sorted(dense.localization_lengths), rel=1e-2)
+
+    @pytest.mark.parametrize("t1", [0.5, 0.7, 0.9, 0.97, 0.99])
+    def test_ssh_length_is_the_root_decay(self, t1):
+        # The mode decays as (-t1)^n.  A fit that reached into the right half
+        # of the section, which the cut distorts, read 1.7e-2 short at 0.99.
+        report = edge_modes_truncated(ssh(t1, 1.0))
+        assert report.localization_lengths == pytest.approx([1 / math.log(1 / t1)], rel=1e-6)
+
+    @pytest.mark.parametrize("theta", [0.0, 2.0])
+    @pytest.mark.parametrize("scale", [0.5, 3.0])
+    def test_defective_length_drops_the_prefactor(self, theta, scale):
+        # The defective family's mode is n 2^-n: a fit of log ||psi_n||
+        # linear in n alone read 1.60 instead of 1 / ln 2.
+        report = edge_modes_truncated(defective(theta, scale))
+        assert report.localization_lengths == pytest.approx([1 / math.log(2)], rel=1e-6)
 
 
 class TestAugmentedKernelCount:

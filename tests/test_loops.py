@@ -740,16 +740,20 @@ def recording(fn, results):
 
 
 class TestEndpointCheck:
-    """full_deformation counts the endpoint's kernels at the decay minimum, not the 64-cell floor."""
+    """full_deformation counts the endpoint's kernels at the decay minimum, the automatic size."""
 
     @staticmethod
     def check(endpoint: MatrixLoop):
+        # The kernels also equal those of the 64-cell section that the
+        # automatic size used to floor every section at.
         cm = model_from_loop(endpoint)
         cells = decay_min_cells(decay_scale_estimate(cm), cm.hop_range, DEFAULT_TOL)
         short = edge_modes_truncated(cm, cells=cells)
         auto = edge_modes_truncated(cm)
-        assert short.truncation_cells == cells < auto.truncation_cells
-        assert (short.dim_ker_pm, short.dim_ker_mp) == (auto.dim_ker_pm, auto.dim_ker_mp)
+        floored = edge_modes_truncated(cm, cells=max(64, cells))
+        assert short.truncation_cells == cells == auto.truncation_cells
+        kernels = {(r.dim_ker_pm, r.dim_ker_mp) for r in (short, auto, floored)}
+        assert len(kernels) == 1
         return short
 
     @pytest.mark.parametrize("powers", [[1, 1, -1, 0], [1, -1, -1, 0, 0], [0]])
