@@ -44,6 +44,8 @@ from .models import (
     least_singular_value,
     load_model,
     model_to_dict,
+    momenta,
+    unit_circle,
 )
 # chiral_gap_margin is unused here but stays importable: perfbench/spans.py wraps it.
 from .spectrum import band_structure, certified_gap, chiral_gap, chiral_gap_margin, detect_gap
@@ -270,16 +272,17 @@ def _cmd_spectrum(args, tol) -> int:
 
 def _cmd_winding(args, tol) -> int:
     model, grading, raw = _resolve_model(args, tol)
+    if args.samples < 8:
+        raise ParseError(f"--samples must be at least 8, got {args.samples}")
     cm = _require_chiral(model, grading, args, tol)
     result = full_winding(cm, initial_samples=args.samples, tol=tol)
     meta = _meta(raw, args.seed, tol, {"samples": args.samples})
     _emit_json({"meta": meta, **dataclasses.asdict(result)}, args.out)
     if args.curve_out:
-        ks = -np.pi + 2.0 * np.pi * np.arange(args.samples) / args.samples
-        dets = cm.symbol("pm").det_fn()(np.exp(1j * ks))
+        dets = cm.symbol("pm").det_fn()(unit_circle(args.samples))
         _emit_csv(
             ["k", "det_re", "det_im"],
-            [[k, d.real, d.imag] for k, d in zip(ks, dets)],
+            [[k, d.real, d.imag] for k, d in zip(momenta(args.samples), dets)],
             meta,
             args.curve_out,
         )
@@ -389,7 +392,7 @@ def _cmd_deform(args, tol) -> int:
     _emit_json({"meta": meta, **path.to_dict()}, args.out)
     if args.csv_out:
         rows = []
-        lams = np.exp(2j * np.pi * np.arange(64) / 64)
+        lams = unit_circle(64)
         for si, stage in enumerate(path.stages):
             ts = (
                 [stage.t_start]

@@ -147,31 +147,13 @@ def _cell_norms(vec: np.ndarray, cells: int) -> np.ndarray:
     return np.linalg.norm(vec.reshape(cells, -1), axis=1)
 
 
-def _localization_fit(norms: np.ndarray, from_left: bool = True) -> float:
-    """Exponential decay length (in cells) fitted on the decaying tail.
-
-    Only cell norms above 1e-10 of the maximum are fitted: below that lies
-    the solvers' rounding, where the dense SVD and the sparse route gave
-    lengths up to 38% apart for the same kernel.
-    """
-    keep = np.flatnonzero(norms > 1e-10 * norms.max())
-    if len(keep) < 3:
-        return 0.0
-    xs = keep.astype(float)
-    ys = np.log(norms[keep])
-    if not from_left:
-        xs = xs[::-1] * -1.0
-        ys = ys[::-1]
-    slope = np.polyfit(xs, ys, 1)[0]
-    return float("inf") if slope >= 0 else float(-1.0 / slope)
-
-
 def _edge_localization(norms: np.ndarray) -> float:
-    """Decay length (in cells) of a left-localized kernel vector, polynomial prefactors discarded.
+    """Decay length (in cells) of a left-localized vector, polynomial prefactors discarded.
 
     Fits log ||psi_n|| against (1, log(n + 1), n), as companion.decay_rate
     does, on the left half of the section, which the cut does not distort,
-    and on cell norms above the solvers' rounding, 1e-10 of the maximum.
+    and on cell norms above the solvers' rounding, 1e-10 of the maximum.  A
+    right-localized vector is fitted on its reversed cell norms.
     """
     half = norms[: len(norms) // 2]
     keep = np.flatnonzero(half > 1e-10 * half.max())
@@ -467,10 +449,10 @@ def in_gap_scan(model: ModelParams, cells: int, energy_window: tuple, gap: GapRe
         centroid = float(np.sum(np.arange(1, cells + 1) * norms**2) / np.sum(norms**2))
         if centroid <= cells / 4:
             side = "left"
-            xi = _localization_fit(norms, from_left=True)
+            xi = _edge_localization(norms)
         elif centroid >= 3 * cells / 4:
             side = "right"
-            xi = _localization_fit(norms, from_left=False)
+            xi = _edge_localization(norms[::-1])
         else:
             side = "delocalized"
             xi = float("inf")

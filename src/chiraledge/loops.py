@@ -21,10 +21,11 @@ Every stage records an invertibility certificate (min singular value on its
 parameter-by-momentum grid) and the winding of its determinant, which must be
 one constant along the whole path.  certify_path evaluates the block a
 stage moves at each (t, momentum) point and the fixed rest once per
-momentum grid, and hands the grid's determinants to the winding check, whose
-128 initial samples are that grid.  The moving blocks of all t of a grid are
-stacked, at most CERT_GRID_CAP blocks (or one t row) at a time, and the
-stack's least singular value comes from one pruned SVD
+momentum grid (models.unit_circle).  The winding check of each t starts
+from its determinants on the first grid, whatever CERT_GRID_K is, and
+evaluates the stage afresh only at bisection midpoints.  The moving blocks
+of all t of a grid are stacked, at most CERT_GRID_CAP blocks (or one t row)
+at a time, and the stack's least singular value comes from one pruned SVD
 (models.least_singular_value): a batched inverse, or a closed form for
 1 x 1 and 2 x 2 blocks, bounds each block's sigma_min below by 1/||M^-1||_F,
 and only blocks whose bound does not exceed the grid's minimum are
@@ -62,6 +63,7 @@ from .models import (
     largest_singular_value,
     least_singular_value,
     numerically_singular,
+    unit_circle,
 )
 from .spectrum import GapReport
 from .winding import winding_of_curve
@@ -314,14 +316,15 @@ def certify_path(stages, tol: Tolerances = DEFAULT_TOL):
     their product.  The moving blocks of the whole grid go to
     models.least_singular_value as one stack of max(1, CERT_GRID_CAP // nk)
     t rows at most, so the first grid takes one call and no stack outgrows a
-    single row at the refinement cap; the t slices of each stack give the
-    winding determinants.  It takes an SVD only of the blocks whose
-    inverse-norm bound does not rule them out against the grid's minimum,
-    and returns the full SVD's minimum bit for bit, whatever the stacking.  The
-    fixed rest is pruned the same way, once per grid, for both extremes
-    (models.largest_singular_value drops the blocks whose Frobenius norm
-    rules them out).  The moving block's sigma_max is bounded above by its
-    Frobenius norm.  A stage constant in t or unitary_in_t is certified and
+    single row at the refinement cap.  The t slices of the first grid's
+    stacks are the initial samples of the winding checks, which evaluate the
+    stage afresh only at bisection midpoints.  It takes an SVD only of the
+    blocks whose inverse-norm bound does not rule them out against the
+    grid's minimum, and returns the full SVD's minimum bit for bit, whatever
+    the stacking.  The fixed rest is pruned the same way, once per grid, for
+    both extremes (models.largest_singular_value drops the blocks whose
+    Frobenius norm rules them out).  The moving block's sigma_max is bounded
+    above by its Frobenius norm.  A stage constant in t or unitary_in_t is certified and
     wound at t_start alone, so it is exact in t and sampled in lambda.  A
     det_fixed_in_t stage keeps its certificate t-grid and is wound at
     t_start alone.
@@ -342,13 +345,13 @@ def certify_path(stages, tol: Tolerances = DEFAULT_TOL):
         one_t = stage.t_start == stage.t_end or stage.unitary_in_t
         one_winding = one_t or stage.det_fixed_in_t
         winding_ts = [stage.t_start] if one_winding else np.linspace(stage.t_start, stage.t_end, 5)
-        wanted = {float(t) for t in winding_ts}
-        shared = {}  # t -> (grid, det) from the first certificate grid holding t
+        winding_ts = [float(t) for t in winding_ts]
+        dets = {}  # t -> determinants on the first certificate grid holding t
         nt, nk = CERT_GRID_T, CERT_GRID_K
         while True:
             ts = [stage.t_start] if one_t else np.linspace(stage.t_start, stage.t_end, nt)
             ts = [float(t) for t in ts]
-            lams = np.exp(2j * np.pi * np.arange(nk) / nk)
+            lams = unit_circle(nk)
             mn, mx, fixed_det = stage.fixed(lams)
             rows = max(1, CERT_GRID_CAP // nk)
             for first in range(0, len(ts), rows):
@@ -357,8 +360,8 @@ def certify_path(stages, tol: Tolerances = DEFAULT_TOL):
                 mn = least_singular_value(stack, mn)
                 mx = max(mx, float(np.linalg.norm(stack, axis=(1, 2)).max()))
                 for i, t in enumerate(chunk):
-                    if t in wanted and t not in shared:
-                        shared[t] = (lams, np.linalg.det(stack[i * nk : (i + 1) * nk]) * fixed_det)
+                    if t in winding_ts and t not in dets:
+                        dets[t] = np.linalg.det(stack[i * nk : (i + 1) * nk]) * fixed_det
             if mn > 1e-9 * mx:
                 break
             if nt >= CERT_GRID_CAP and nk >= CERT_GRID_CAP:
@@ -370,18 +373,10 @@ def certify_path(stages, tol: Tolerances = DEFAULT_TOL):
         grids.append((len(ts), nk))
 
         ws = set()
-        for t in map(float, winding_ts):
-            grid, dets = shared.get(t, (None, None))
-
-            def det_curve(lams, t=t, grid=grid, dets=dets):
-                # The certificate grid equals the winding's 128 initial samples
-                # bit for bit, so those determinants are reused; bisection
-                # midpoints are evaluated afresh.
-                if grid is not None and lams.shape == grid.shape and np.array_equal(lams, grid):
-                    return dets
-                return np.linalg.det(stage.moving(t, lams)) * stage.fixed(lams)[2]
-
-            w, *_ = winding_of_curve(det_curve, initial_samples=128, tol=tol)
+        for t in winding_ts:
+            w, *_ = winding_of_curve(
+                lambda lams, t=t: np.linalg.det(stage.moving(t, lams)) * stage.fixed(lams)[2], dets[t], tol
+            )
             ws.add(w)
         if len(ws) != 1:
             raise CertificateFailed(

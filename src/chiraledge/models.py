@@ -46,13 +46,22 @@ def _adjoints(planes: np.ndarray) -> np.ndarray:
     return np.conj(np.transpose(planes, (0, 2, 1)))
 
 
+def momenta(num_k: int) -> np.ndarray:
+    """The uniform momentum grid k = -pi + 2 pi j / num_k, j = 0..num_k - 1.
+
+    The one grid of the package: every sampled loop over the Brillouin zone
+    reads it or unit_circle.
+    """
+    return -np.pi + 2.0 * np.pi * np.arange(num_k) / num_k
+
+
 def unit_circle(num_k: int) -> np.ndarray:
-    """e^{ik} on the uniform grid k = -pi + 2 pi j / num_k, j = 0..num_k - 1.
+    """e^{ik} on momenta(num_k).
 
     Doubling num_k keeps every sample bit for bit (scaling by 2 is exact),
     so a finer grid's minimum never exceeds a coarser one's.
     """
-    return np.exp(1j * (-np.pi + 2.0 * np.pi * np.arange(num_k) / num_k))
+    return np.exp(1j * momenta(num_k))
 
 
 def numerically_singular(m: np.ndarray, tol: Tolerances) -> bool:

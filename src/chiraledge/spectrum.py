@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import NUM_K_CAP, NUM_K_DEFAULT
 from .errors import GapNotCertified, NotSelfAdjoint, UnbalancedGrading
-from .models import ChiralModel, ModelParams, least_singular_value, unit_circle
+from .models import ChiralModel, ModelParams, least_singular_value, momenta, unit_circle
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,15 +38,14 @@ class GapReport:
 
 
 def band_structure(model: ModelParams, num_k: int = NUM_K_DEFAULT) -> BandStructure:
-    """Eigenvalues of H(e^{ik}) on a uniform k grid (endpoint excluded, periodic)."""
+    """Eigenvalues of H(e^{ik}) on the k grid models.momenta(num_k)."""
     if not model.self_adjoint:
         raise NotSelfAdjoint("band structure requires a self-adjoint model")
     if num_k < 8:
         raise ValueError(f"num_k must be at least 8, got {num_k}")
-    ks = -np.pi + 2.0 * np.pi * np.arange(num_k) / num_k
     symbol = model.symbol()
-    energies = np.linalg.eigvalsh(symbol.eval_many(np.exp(1j * ks)))
-    return BandStructure(ks=ks, energies=energies, lipschitz_bound=symbol.lipschitz_bound())
+    energies = np.linalg.eigvalsh(symbol.eval_many(unit_circle(num_k)))
+    return BandStructure(ks=momenta(num_k), energies=energies, lipschitz_bound=symbol.lipschitz_bound())
 
 
 def detect_gap(bands: BandStructure, around_energy: float | None = None) -> GapReport:

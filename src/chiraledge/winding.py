@@ -1,11 +1,12 @@
 """Integer winding of det h_pm around the origin, by two independent methods.
 
-The primary method unwraps the phase of the determinant along the unit circle
-with adaptive refinement until every increment is below pi/2, then checks the
-total is an integer multiple of 2*pi.  The validator counts the roots of
-lambda^(R q) det h_pm inside the unit disk as the eigenvalues there of h_pm's
-recurrence pencil (companion.decaying_sector); the winding is that count
-minus R q.  cross_checked holds the two methods to one answer.
+The primary method unwraps the phase of the determinant along the unit circle,
+starting from the caller's samples on models.unit_circle and bisecting until
+every increment is below pi/2, then checks the total is an integer multiple
+of 2*pi.  The validator counts the roots of lambda^(R q) det h_pm inside the
+unit disk as the eigenvalues there of h_pm's recurrence pencil
+(companion.decaying_sector); the winding is that count minus R q.
+cross_checked holds the two methods to one answer.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .companion import decaying_sector
-from .config import DEFAULT_TOL, WINDING_SAMPLE_CAP, Tolerances
+from .config import DEFAULT_TOL, NUM_K_DEFAULT, WINDING_SAMPLE_CAP, Tolerances
 from .errors import BorderlineEigenvalue, GapNotCertified, NonConvergent, UnbalancedGrading
-from .models import ChiralModel
+from .models import ChiralModel, momenta, unit_circle
 
 
 @dataclass(frozen=True)
@@ -29,21 +30,22 @@ class WindingResult:
     min_abs_det: float
 
 
-def winding_of_curve(f, initial_samples: int = 512, tol: Tolerances = DEFAULT_TOL):
-    """Winding number of k -> f(e^{ik}) around 0.
+def winding_of_curve(f, vals: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    """Winding number of k -> f(e^{ik}) around 0, from the caller's samples.
 
-    `f` must accept an array of unit-circle points and return complex values.
-    Intervals whose phase increment reaches pi/2 are bisected until all are
-    safe; raises GapNotCertified when the curve comes within 1e-9 of the
-    origin (relative to its largest magnitude) and NonConvergent at
-    WINDING_SAMPLE_CAP samples or when the summed phase is not an integer
-    multiple of 2*pi within tol.winding_integer.
+    `vals` is f(unit_circle(len(vals))), evaluated by the caller; `f` must
+    accept an array of unit-circle points and return complex values, and is
+    called only at the midpoints of the momenta(len(vals)) intervals whose
+    phase increment reaches pi/2, bisected until all are safe.  Raises
+    GapNotCertified when the curve comes within 1e-9 of the origin (relative
+    to its largest magnitude) and NonConvergent at WINDING_SAMPLE_CAP samples
+    or when the summed phase is not an integer multiple of 2*pi within
+    tol.winding_integer.
 
     Returns (winding, samples_used, min_abs, max_abs).
     """
-    n0 = max(8, int(initial_samples))
-    ks = 2.0 * np.pi * np.arange(n0) / n0
-    vals = np.asarray(f(np.exp(1j * ks)), dtype=complex)
+    vals = np.asarray(vals, dtype=complex)
+    ks = momenta(len(vals))
     while True:
         mags = np.abs(vals)
         amax = float(mags.max())
@@ -75,11 +77,18 @@ def winding_of_curve(f, initial_samples: int = 512, tol: Tolerances = DEFAULT_TO
     return w, len(ks), amin, amax
 
 
-def winding_phase(cm: ChiralModel, initial_samples: int = 512, tol: Tolerances = DEFAULT_TOL) -> WindingResult:
-    """Winding of det h_pm by adaptive phase unwrapping (primary method)."""
+def winding_phase(cm: ChiralModel, initial_samples: int = NUM_K_DEFAULT, tol: Tolerances = DEFAULT_TOL) -> WindingResult:
+    """Winding of det h_pm by adaptive phase unwrapping (primary method).
+
+    The unwrap starts from det h_pm on unit_circle(initial_samples); raises
+    ValueError below 8 samples.
+    """
     if not cm.balanced:
         raise UnbalancedGrading("winding needs a square h_pm block")
-    w, used, amin, _ = winding_of_curve(cm.symbol("pm").det_fn(), initial_samples=initial_samples, tol=tol)
+    if initial_samples < 8:
+        raise ValueError(f"initial_samples must be at least 8, got {initial_samples}")
+    det = cm.symbol("pm").det_fn()
+    w, used, amin, _ = winding_of_curve(det, det(unit_circle(initial_samples)), tol)
     return WindingResult(
         winding=w, method_phase=w, method_roots=None, samples_used=used, min_abs_det=amin
     )
@@ -104,7 +113,7 @@ def cross_checked(phase: WindingResult, roots: int | None) -> WindingResult:
     return replace(phase, method_roots=roots)
 
 
-def full_winding(cm: ChiralModel, initial_samples: int = 512, tol: Tolerances = DEFAULT_TOL) -> WindingResult:
+def full_winding(cm: ChiralModel, initial_samples: int = NUM_K_DEFAULT, tol: Tolerances = DEFAULT_TOL) -> WindingResult:
     """Phase-method winding cross_checked against winding_roots.
 
     The root count reads None when the pencil refuses (a singular pencil or a

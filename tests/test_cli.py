@@ -316,19 +316,24 @@ class TestErrorsAndDeterminism:
             ["phase-diagram", "{family}", "--grid=-1x2"],
             ["modes", "--fixture", "defective:theta=0", "--initial", "0,0,1,0", "--steps", "0"],
             ["spectrum", "--fixture", "ssh:t1=1,t2=2", "--samples", "4"],
+            ["winding", "--fixture", "ssh:t1=1,t2=2", "--samples", "4", "--curve-out", "{curve}"],
+            ["winding", "--fixture", "ssh:t1=1,t2=2", "--samples=-3"],
         ],
         ids=["ensemble-not-a-number", "ensemble-no-value", "ensemble-odd-dim", "ensemble-range-0",
-             "family-min-not-a-number", "grid-negative", "modes-steps-0", "spectrum-samples-4"],
+             "family-min-not-a-number", "grid-negative", "modes-steps-0", "spectrum-samples-4",
+             "winding-samples-4", "winding-samples-negative"],
     )
     def test_malformed_input_exits_2(self, capsys, family_file, tmp_path, argv):
         bad_family = tmp_path / "bad_fam.json"
         doc = json.loads(family_file.read_text())
         doc["param1"]["min"] = "a"
         bad_family.write_text(json.dumps(doc))
-        argv = [a.format(family=family_file, bad_family=bad_family) for a in argv]
+        curve = tmp_path / "curve.csv"
+        argv = [a.format(family=family_file, bad_family=bad_family, curve=curve) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ParseError"
+        assert not curve.exists()
 
     def test_byte_identical_reruns(self, capsys, ssh_file, tmp_path):
         pairs = []

@@ -31,7 +31,7 @@ from chiraledge.halfspace import (
     truncate_halfspace,
 )
 from chiraledge.loops import diagonal_monomials, model_from_loop
-from chiraledge.models import ChiralModel, MatrixLoop, ModelParams
+from chiraledge.models import ChiralModel, MatrixLoop, ModelParams, build_model
 from chiraledge.spectrum import certified_gap
 from chiraledge.verify import EnsembleSpec, has_singular_leading_hop, random_chiral_ensemble
 
@@ -775,6 +775,22 @@ class TestInGapScan:
         base = dimerized_plus().base
         with pytest.raises(GapNotCertified):
             in_gap_scan(base, 16, (-1.5, 1.5), certified_gap(base, 0.0))
+
+    @pytest.mark.parametrize("t1", [0.5, 0.8])
+    def test_rice_mele_localization_lengths(self, t1):
+        # On-site diag(m, -m), intra-cell t1, inter-cell 1: the end states at
+        # +-m decay exactly as t1^n, so both lengths are 1/ln(1/t1).  Each
+        # hit is fitted on the half of the section next to its own edge; a
+        # straight line through every cell read 4e-3 low at t1 = 0.8.
+        m = 0.3
+        base = build_model(2, 1, [[m, t1], [t1, -m]], [[[0.0, 0.0], [1.0, 0.0]]])
+        gap = certified_gap(base, 0.0)
+        mid, half = 0.5 * (gap.e_minus + gap.e_plus), 0.475 * (gap.e_plus - gap.e_minus)
+        hits = in_gap_scan(base, 100, (mid - half, mid + half), gap)
+        assert sorted(h.side for h in hits) == ["left", "right"]
+        for hit in hits:
+            assert abs(hit.energy) == pytest.approx(m, abs=1e-9)
+            assert hit.localization_length == pytest.approx(1.0 / math.log(1.0 / t1), rel=1e-9)
 
     def test_chiral_pairing(self):
         models = random_chiral_ensemble(EnsembleSpec(seed=5, count=10, dim_v=2, hop_range=2, gap_floor=0.2))

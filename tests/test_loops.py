@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 
 import numpy as np
@@ -21,7 +22,7 @@ from chiraledge.loops import (
     model_from_loop,
     monomial_loop,
 )
-from chiraledge.models import MatrixLoop, least_singular_value
+from chiraledge.models import MatrixLoop, least_singular_value, unit_circle
 from chiraledge.verify import EnsembleSpec, random_chiral_ensemble
 from chiraledge.winding import winding_of_curve
 from test_models import STACK_KINDS, adversarial_stack
@@ -92,7 +93,7 @@ class TestStabilizeAndFactor:
     def test_dimerized_factoring(self):
         builder, poly = factored(dimerized_plus().symbol("pm"))
         # p = lambda^2, endpoint p (+) lambda^-1.
-        w, *_ = winding_of_curve(poly.det_fn())
+        w, *_ = winding_of_curve(poly.det_fn(), poly.det_fn()(unit_circle(512)))
         assert w == 2
         _, windings, _ = certify_path(builder.stages)
         assert set(windings) == {1}
@@ -102,7 +103,7 @@ class TestStabilizeAndFactor:
         # Frozen oracle: p = 1/4 + lambda + lambda^2 has both roots inside
         # the unit circle, so its winding is W + R q = 2.
         assert np.allclose(np.sort_complex(np.roots([1, 1, 0.25])), [-0.5, -0.5])
-        w, *_ = winding_of_curve(poly.det_fn())
+        w, *_ = winding_of_curve(poly.det_fn(), poly.det_fn()(unit_circle(512)))
         assert w == 2
         _, windings, _ = certify_path(builder.stages)
         assert set(windings) == {1}
@@ -114,7 +115,7 @@ class TestLinearize:
     def test_scalar_square(self):
         ell = pencil(np.array([[[0.0]], [[0.0]], [[1.0]]], dtype=complex))
         assert ell.size == 2
-        w, *_ = winding_of_curve(ell.det_fn())
+        w, *_ = winding_of_curve(ell.det_fn(), ell.det_fn()(unit_circle(512)))
         assert w == 2
 
     def test_constant_passthrough(self):
@@ -129,7 +130,7 @@ class TestLinearize:
         _, poly = factored(defective(0.0).symbol("pm"))
         ell = pencil(poly.coeffs)
         assert ell.size == 2
-        w, *_ = winding_of_curve(ell.det_fn())
+        w, *_ = winding_of_curve(ell.det_fn(), ell.det_fn()(unit_circle(512)))
         assert w == 2
 
     def test_matrix_polynomial_determinant_preserved(self):
@@ -294,10 +295,10 @@ def reference_certify_path(stages, tol=DEFAULT_TOL, grid_t=CERT_GRID_T, grid_k=C
 
         ws = set()
         for t in [stage.t_start] if constant else np.linspace(stage.t_start, stage.t_end, 5):
-            w, *_ = winding_of_curve(
-                lambda lams, t=float(t): np.linalg.det(stage.evaluate(t, lams)),
-                initial_samples=128,
-            )
+            def det(lams, t=float(t)):
+                return np.linalg.det(stage.evaluate(t, lams))
+
+            w, *_ = winding_of_curve(det, det(unit_circle(128)))
             ws.add(w)
         if len(ws) != 1:
             raise CertificateFailed(
@@ -404,6 +405,29 @@ class TestCertifyPath:
             assert {(i, "fixed") for i in range(len(stages))} <= set(calls)
             assert max(calls.values()) == 1
 
+    def test_windings_start_from_every_first_grid(self, monkeypatch):
+        # The winding checks start from the first certificate grid's
+        # determinants whatever its size: on a 256-point grid no t is
+        # evaluated again on 128 points, and the windings are the 128-point
+        # run's.
+        stages = full_deformation(certified_symbols()[10]).stages
+        assert len(stages) == 16
+        _, expected, _ = certify_path(stages)
+        sizes = collections.Counter()
+
+        def counted(stage):
+            def moving(t, lams, inner=stage.moving):
+                sizes[len(lams)] += 1
+                return inner(t, lams)
+
+            return dataclasses.replace(stage, moving=moving)
+
+        monkeypatch.setattr(loops, "CERT_GRID_K", 256)
+        _, windings, grids = certify_path([counted(s) for s in stages])
+        assert all(nk == 256 for _, nk in grids)
+        assert sizes[256] > 0 and sizes[128] == 0
+        assert windings == expected
+
     def test_certificates_are_the_exact_svd_minimum(self):
         # The pruned SVD drops only blocks that cannot hold the minimum, so
         # each certificate is min(lo, every moving block's least singular
@@ -413,7 +437,7 @@ class TestCertifyPath:
             certificates, _, grids = certify_path(stages)
             for stage, cert, (nt, nk) in zip(stages, certificates, grids):
                 ts = [stage.t_start] if nt == 1 else np.linspace(stage.t_start, stage.t_end, nt)
-                lams = np.exp(2j * np.pi * np.arange(nk) / nk)
+                lams = unit_circle(nk)
                 lo = stage.fixed(lams)[0]
                 svd_min = min(
                     float(np.linalg.svd(stage.moving(float(t), lams), compute_uv=False)[:, -1].min()) for t in ts
@@ -523,7 +547,7 @@ class TestCertifyPath:
         calls.clear()
         _, _, grids = certify_path([stage])
         assert grids == [(CERT_GRID_T, CERT_GRID_K)]
-        grid = np.exp(2j * np.pi * np.arange(CERT_GRID_K) / CERT_GRID_K).tobytes()
+        grid = unit_circle(CERT_GRID_K).tobytes()
         assert sorted(k for k, key in calls if key == grid) == list(range(1, d))
 
     def test_singular_stage_refused_at_the_grid_cap(self, monkeypatch):
@@ -555,9 +579,9 @@ class TestCertifyPath:
         stages = full_deformation(ssh(0.5, 1)).stages
         seen = []
 
-        def spy(f, initial_samples=512, tol=DEFAULT_TOL):
+        def spy(f, vals, tol=DEFAULT_TOL):
             seen.append(tol.winding_integer)
-            return winding_of_curve(f, initial_samples, tol)
+            return winding_of_curve(f, vals, tol)
 
         monkeypatch.setattr(loops, "winding_of_curve", spy)
         certify_path(stages, DEFAULT_TOL.replace(winding_integer=1e-3))

@@ -340,6 +340,38 @@ def test_one_home_for_each_sampled_extreme():
     assert not found, f"batched SVD reduced to an extreme outside the models helpers: {found}"
 
 
+def _grid_builders(tree: ast.Module):
+    """The function (dotted under its class or outer function) of every
+    arithmetic expression that combines np.arange with np.pi or an imaginary
+    constant, the shape of a momentum grid."""
+    stack = [(tree, None)]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name if owner is None else f"{owner}.{node.name}"
+        if isinstance(node, ast.BinOp):
+            parts = list(ast.walk(node))
+            arange = any(isinstance(n, ast.Call) and ast.unparse(n.func).endswith("arange") for n in parts)
+            angle = any(
+                ast.unparse(n) == "np.pi" or (isinstance(n, ast.Constant) and isinstance(n.value, complex))
+                for n in parts
+            )
+            if arange and angle:
+                yield owner
+                continue
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
+def test_models_owns_the_momentum_grid():
+    # Every sampled loop over the Brillouin zone (the gap, the bands, the
+    # winding, the homotopy certificates, the CLI's curves) reads
+    # models.momenta or unit_circle, so they all sample the same points.
+    found = set()
+    for path in sorted(Path(chiraledge.__file__).parent.glob("*.py")):
+        found |= {(path.name, owner) for owner in _grid_builders(ast.parse(path.read_text()))}
+    assert found == {("models.py", "momenta")}
+
+
 class TestLargestSingularValue:
     """largest_singular_value(blocks) == the full SVD maximum, bit for bit."""
 

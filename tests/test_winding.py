@@ -6,7 +6,7 @@ from chiraledge.errors import BorderlineEigenvalue, GapNotCertified, NonConverge
 from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
 from chiraledge.halfspace import edge_modes_companion
 from chiraledge.loops import model_from_loop
-from chiraledge.models import MatrixLoop
+from chiraledge.models import MatrixLoop, unit_circle
 from chiraledge.verify import EnsembleSpec, random_chiral_ensemble
 from chiraledge.winding import (
     full_winding,
@@ -21,18 +21,18 @@ from det_poly_fit import block_det_poly_coeffs, block_det_poly_roots
 class TestWindingOfCurve:
     @given(k=st.integers(-5, 5))
     def test_monomials(self, k):
-        w, used, amin, amax = winding_of_curve(lambda lams: lams**k, initial_samples=64)
+        w, used, amin, amax = winding_of_curve(lambda lams: lams**k, unit_circle(64) ** k)
         assert w == k
         assert amin == pytest.approx(1.0)
 
     def test_offset_circle(self):
         # Circle of radius 1 around 3 never encloses the origin.
-        w, *_ = winding_of_curve(lambda lams: 3.0 + lams)
+        w, *_ = winding_of_curve(lambda lams: 3.0 + lams, 3.0 + unit_circle(512))
         assert w == 0
 
     def test_zero_crossing_detected(self):
         with pytest.raises(GapNotCertified):
-            winding_of_curve(lambda lams: lams - 1.0)
+            winding_of_curve(lambda lams: lams - 1.0, unit_circle(512) - 1.0)
 
 
 class TestWindingPhase:
@@ -54,6 +54,11 @@ class TestWindingPhase:
     def test_gapless_rejected(self):
         with pytest.raises(GapNotCertified):
             winding_phase(ssh(1.0, 1.0))
+
+    @pytest.mark.parametrize("samples", [4, -3])
+    def test_fewer_than_8_samples_refused(self, samples):
+        with pytest.raises(ValueError, match="at least 8"):
+            winding_phase(ssh(0.5, 1.0), initial_samples=samples)
 
     def test_unbalanced_rejected(self):
         import warnings
@@ -153,7 +158,8 @@ class TestMethodAgreement:
     def test_antisymmetry_of_blocks(self):
         for cm in (dimerized_plus(), ssh(1, 2), defective(0.8)):
             w = winding_phase(cm).winding
-            w_mp, *_ = winding_of_curve(cm.symbol("mp").det_fn())
+            det = cm.symbol("mp").det_fn()
+            w_mp, *_ = winding_of_curve(det, det(unit_circle(512)))
             assert w_mp == -w
 
     def test_range_bound_two_band(self):
