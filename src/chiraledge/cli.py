@@ -35,7 +35,7 @@ from .errors import (
     UnbalancedGrading,
 )
 from .fixtures import FAMILIES, FIXTURE_NAMES, fixture
-from .halfspace import edge_modes_companion, edge_modes_truncated, in_gap_scan
+from .halfspace import edge_modes_companion, edge_modes_truncated, in_gap_scan, in_gap_window
 from .loops import full_deformation
 from .models import (
     ChiralModel,
@@ -135,31 +135,6 @@ def _flatten(meta: dict, prefix: str = "") -> dict:
 
 
 # --- input resolution -------------------------------------------------------
-
-
-def _extract_tol_overrides(argv):
-    rest, overrides = [], {}
-    i = 0
-    while i < len(argv):
-        arg = argv[i]
-        if arg.startswith("--tol."):
-            body = arg[len("--tol.") :]
-            if "=" in body:
-                key, value = body.split("=", 1)
-            else:
-                key = body
-                i += 1
-                if i >= len(argv):
-                    raise ParseError(f"--tol.{key} needs a value")
-                value = argv[i]
-            try:
-                overrides[key] = float(value)
-            except ValueError as exc:
-                raise ParseError(f"tolerance override {key}={value!r} is not a number") from exc
-        else:
-            rest.append(arg)
-        i += 1
-    return rest, overrides
 
 
 def _resolve_model(args, tol: Tolerances):
@@ -315,11 +290,7 @@ def _cmd_edge(args, tol) -> int:
 def _cmd_scan(args, tol) -> int:
     model, grading, raw = _resolve_model(args, tol)
     gap = certified_gap(model, around_energy=0.0 if grading is not None else None)
-    if args.window:
-        window = _parse_pair(args.window, "--window")
-    else:
-        delta = 0.05 * (gap.e_plus - gap.e_minus)
-        window = (gap.e_minus + delta, gap.e_plus - delta)
+    window = _parse_pair(args.window, "--window") if args.window else in_gap_window(gap)
     hits = in_gap_scan(model, args.cells, window, gap=gap)
     meta = _meta(raw, args.seed, tol, {"cells": args.cells, "window": list(window)})
     _emit_csv(
@@ -527,17 +498,18 @@ def _cmd_phase_diagram(args, tol) -> int:
         doc = json.loads(raw)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ParseError("family file must contain a JSON object")
     for fieldname in ("family", "param1", "param2"):
         if fieldname not in doc:
             raise ParseError(f"family file needs field {fieldname!r}")
-    if doc["family"] not in FAMILIES:
+    if not isinstance(doc["family"], str) or doc["family"] not in FAMILIES:
         raise ParseError(f"unknown family {doc['family']!r}; available: {sorted(FAMILIES)}")
     allowed = FAMILIES[doc["family"]][1]
 
     def axis(spec, which):
-        for key in ("name", "min", "max"):
-            if key not in spec:
-                raise ParseError(f"{which} needs {key!r}")
+        if not isinstance(spec, dict) or not {"name", "min", "max"} <= spec.keys():
+            raise ParseError(f"{which} must be an object with name, min and max")
         if spec["name"] not in allowed:
             raise ParseError(f"family {doc['family']!r} has parameters {allowed}, not {spec['name']!r}")
         try:
@@ -566,6 +538,26 @@ def _cmd_phase_diagram(args, tol) -> int:
 # --- parser -------------------------------------------------------------------
 
 
+def _tolerance(text: str) -> float:
+    """A --tol. value: finite and positive (a NaN band would refuse no root)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _add_tolerance_flags(parser: argparse.ArgumentParser) -> None:
+    """--tol.NAME for every Tolerances field; an absent flag leaves no attribute."""
+    group = parser.add_argument_group("tolerance overrides (finite, positive)")
+    for f in dataclasses.fields(Tolerances):
+        group.add_argument(
+            f"--tol.{f.name}", type=_tolerance, default=argparse.SUPPRESS, metavar="V", help=f"default {f.default:g}"
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chiraledge",
@@ -573,6 +565,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "for finite-range graded 1D lattice models.",
     )
     parser.add_argument("--version", action="version", version=f"chiraledge {__version__}")
+    _add_tolerance_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -584,6 +577,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", help="output file (default: stdout)")
     common.add_argument("--seed", type=int, default=0)
     common.add_argument("--auto-grading", action="store_true", help="derive a grading by 2-coloring")
+    _add_tolerance_flags(common)
 
     p = sub.add_parser("spectrum", parents=[common], help="band structure CSV and gap report")
     p.add_argument("--samples", type=int, default=NUM_K_DEFAULT)
@@ -630,15 +624,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        argv, tol_overrides = _extract_tol_overrides(argv)
-        tol = DEFAULT_TOL.replace(**tol_overrides)
-    except (ParseError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    overrides = {key[len("tol.") :]: value for key, value in vars(args).items() if key.startswith("tol.")}
+    tol = DEFAULT_TOL.replace(**overrides)
     try:
         return args.func(args, tol)
     except _INPUT_ERRORS as exc:

@@ -26,9 +26,6 @@ class Tolerances:
     winding_integer: float = 1e-6
 
     def replace(self, **overrides) -> "Tolerances":
-        unknown = set(overrides) - {f.name for f in dataclasses.fields(self)}
-        if unknown:
-            raise KeyError(f"unknown tolerance names: {sorted(unknown)}")
         return dataclasses.replace(self, **overrides)
 
     def as_dict(self) -> dict:

@@ -431,6 +431,12 @@ class ScanHit:
     side: str
 
 
+def in_gap_window(gap: GapReport) -> tuple:
+    """The default in_gap_scan window: the certified gap shrunk by 5% of its width at each end."""
+    delta = 0.05 * (gap.e_plus - gap.e_minus)
+    return gap.e_minus + delta, gap.e_plus - delta
+
+
 def in_gap_scan(model: ModelParams, cells: int, energy_window: tuple, gap: GapReport) -> list:
     """All truncated-Hamiltonian eigenvalues in the window, tagged by edge side.
 

@@ -410,6 +410,15 @@ def _pairs_to_matrix(obj, what: str) -> np.ndarray:
     return arr[..., 0] + 1j * arr[..., 1]
 
 
+def _json_int(value, what: str) -> int:
+    """An integer read from JSON; booleans, non-numbers and fractions are refused, not truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
 def model_to_dict(model: ModelParams, grading=None) -> dict:
     doc = {
         "dim_v": model.dim_v,
@@ -434,11 +443,8 @@ def model_from_dict(doc: dict, tol: Tolerances = DEFAULT_TOL):
     for field in ("dim_v", "range", "on_site", "right_hops"):
         if field not in doc:
             raise ParseError(f"missing required model field '{field}'")
-    try:
-        dim_v = int(doc["dim_v"])
-        hop_range = int(doc["range"])
-    except (TypeError, ValueError) as exc:
-        raise ParseError("dim_v and range must be integers") from exc
+    dim_v = _json_int(doc["dim_v"], "dim_v")
+    hop_range = _json_int(doc["range"], "range")
     on_site = _pairs_to_matrix(doc["on_site"], "on_site")
     if not isinstance(doc["right_hops"], list) or len(doc["right_hops"]) != hop_range:
         raise ParseError(f"right_hops must list exactly {hop_range} matrices")
@@ -448,11 +454,13 @@ def model_from_dict(doc: dict, tol: Tolerances = DEFAULT_TOL):
         if not isinstance(doc["left_hops"], list) or len(doc["left_hops"]) != hop_range:
             raise ParseError(f"left_hops must list exactly {hop_range} matrices")
         left = np.stack([_pairs_to_matrix(m, f"left_hops[{i}]") for i, m in enumerate(doc["left_hops"])])
-    grading = None
-    if "grading" in doc and doc["grading"] is not None:
-        grading = np.asarray(doc["grading"], dtype=int)
-        if grading.shape != (dim_v,) or not np.all(np.abs(grading) == 1):
+    grading = doc.get("grading")
+    if grading is not None:
+        if not isinstance(grading, list) or len(grading) != dim_v or any(
+            _json_int(g, "grading entry") not in (1, -1) for g in grading
+        ):
             raise ParseError("grading must be a list of +1/-1 of length dim_v")
+        grading = np.array(grading, dtype=int)
     try:
         model = build_model(dim_v, hop_range, on_site, right, left, tol=tol)
     except (ShapeMismatch, RangeZero) as exc:

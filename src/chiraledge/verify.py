@@ -21,6 +21,7 @@ from .halfspace import (
     edge_modes_companion,
     edge_modes_truncated,
     in_gap_scan,
+    in_gap_window,
 )
 from .models import ChiralModel, build_model, chiral_split, numerically_singular
 # certified_gap is unused here but stays importable: perfbench/spans.py wraps it.
@@ -179,8 +180,7 @@ def verify_gap_exclusion(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Veri
             verdicts={"zero_confinement": Verdict("skip", dict(reason))},
         )
     gap = _zero_energy_gap(cm)
-    delta = 0.05 * (gap.e_plus - gap.e_minus)
-    window = (gap.e_minus + delta, gap.e_plus - delta)
+    window = in_gap_window(gap)
     q = decay_scale_estimate(cm, tol)
     cells = max(100, decay_min_cells(q, 1, tol))
     if cells > GAP_EXCLUSION_CELLS_MAX:

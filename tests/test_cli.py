@@ -1,4 +1,9 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +11,9 @@ import scipy.linalg.lapack
 
 from chiraledge import verify
 from chiraledge.cli import main
+from chiraledge.config import Tolerances
 from chiraledge.fixtures import ssh
-from chiraledge.models import save_model
+from chiraledge.models import model_to_dict, save_model
 
 from test_winding import root_pair_between_samples
 
@@ -277,17 +283,49 @@ class TestPhaseDiagram:
 class TestErrorsAndDeterminism:
     @pytest.mark.parametrize(
         "flag",
-        ["--tol.bogus=1e-3", "--tol.interp_residual=1e-9", "--tol.coeff_trim=1e-10"],
-        ids=["bogus", "interp_residual", "coeff_trim"],
+        ["--tol.bogus=1e-3", "--tol.interp_residual=1e-9", "--tol.coeff_trim=1e-10", "--tol.c=1e-3"],
+        ids=["bogus", "interp_residual", "coeff_trim", "ambiguous"],
     )
     def test_unknown_tolerance_rejected(self, capsys, flag):
-        code, _, err = run(capsys, "winding", "--fixture", "dimerized-plus", flag)
-        assert code == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["winding", "--fixture", "dimerized-plus", flag])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "flag",
+        ["--tol.kernel=0", "--tol.kernel=-1e-7", "--tol.kernel=nan", "--tol.kernel=inf",
+         "--tol.circle_band=nan", "--tol.winding_integer=-1"],
+        ids=["kernel-0", "kernel-negative", "kernel-nan", "kernel-inf", "circle_band-nan", "winding_integer-negative"],
+    )
+    def test_tolerance_not_finite_and_positive_exits_2(self, capsys, flag):
+        # A NaN circle band would classify no root as borderline and so never refuse.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["edge", "--fixture", "ssh:t1=1,t2=2", flag])
+        assert exit_info.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_tolerance_override_accepted(self, capsys):
         code, out, _ = run(capsys, "winding", "--fixture", "dimerized-plus", "--tol.kernel=1e-6")
         assert code == 0
         assert json.loads(out)["meta"]["tolerances"]["kernel"] == 1e-6
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--tol.kernel=1e-6", "winding", "--fixture", "dimerized-plus"],
+            ["--tol.kernel", "1e-6", "winding", "--fixture", "dimerized-plus"],
+            ["winding", "--fixture", "dimerized-plus", "--tol.kernel", "1e-6"],
+            ["winding", "--fixture", "dimerized-plus", "--tol.ker=1e-6"],
+        ],
+        ids=["before-equals", "before-space", "after-space", "prefix"],
+    )
+    def test_tolerance_override_forms(self, capsys, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        tolerances = json.loads(out)["meta"]["tolerances"]
+        assert tolerances["kernel"] == 1e-6
+        assert tolerances["cluster"] == 1e-7
 
     def test_malformed_model_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -318,22 +356,47 @@ class TestErrorsAndDeterminism:
             ["spectrum", "--fixture", "ssh:t1=1,t2=2", "--samples", "4"],
             ["winding", "--fixture", "ssh:t1=1,t2=2", "--samples", "4", "--curve-out", "{curve}"],
             ["winding", "--fixture", "ssh:t1=1,t2=2", "--samples=-3"],
+            ["phase-diagram", "{family_axis_string}", "--grid", "1x1"],
+            ["phase-diagram", "{family_doc_string}", "--grid", "1x1"],
+            ["phase-diagram", "{family_name_list}", "--grid", "1x1"],
+            ["winding", "{model_dim_v_fraction}"],
+            ["winding", "{model_range_fraction}"],
+            ["winding", "{model_range_bool}"],
+            ["winding", "{model_grading_fraction}"],
+            ["winding", "{model_grading_string}"],
+            ["winding", "{model_grading_object}"],
         ],
         ids=["ensemble-not-a-number", "ensemble-no-value", "ensemble-odd-dim", "ensemble-range-0",
              "family-min-not-a-number", "grid-negative", "modes-steps-0", "spectrum-samples-4",
-             "winding-samples-4", "winding-samples-negative"],
+             "winding-samples-4", "winding-samples-negative", "family-axis-string", "family-doc-string",
+             "family-name-list", "model-dim_v-fraction", "model-range-fraction", "model-range-bool",
+             "model-grading-fraction", "model-grading-string", "model-grading-object"],
     )
     def test_malformed_input_exits_2(self, capsys, family_file, tmp_path, argv):
-        bad_family = tmp_path / "bad_fam.json"
-        doc = json.loads(family_file.read_text())
-        doc["param1"]["min"] = "a"
-        bad_family.write_text(json.dumps(doc))
-        curve = tmp_path / "curve.csv"
-        argv = [a.format(family=family_file, bad_family=bad_family, curve=curve) for a in argv]
+        family = json.loads(family_file.read_text())
+        cm = ssh(1, 2)
+        model = model_to_dict(cm.base, cm.grading)
+        docs = {
+            "bad_family": {**family, "param1": {**family["param1"], "min": "a"}},
+            "family_axis_string": {**family, "param1": "name min max"},
+            "family_doc_string": "family param1 param2",
+            "family_name_list": {**family, "family": ["ssh"]},
+            "model_dim_v_fraction": {**model, "dim_v": 2.9},
+            "model_range_fraction": {**model, "range": 1.5},
+            "model_range_bool": {**model, "range": True},
+            "model_grading_fraction": {**model, "grading": [1, -1.7]},
+            "model_grading_string": {**model, "grading": "ab"},
+            "model_grading_object": {**model, "grading": {"a": 1}},
+        }
+        paths = {"family": family_file, "curve": tmp_path / "curve.csv"}
+        for name, doc in docs.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        argv = [a.format(**paths) for a in argv]
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert json.loads(err.strip().splitlines()[-1])["error"] == "ParseError"
-        assert not curve.exists()
+        assert not paths["curve"].exists()
 
     def test_byte_identical_reruns(self, capsys, ssh_file, tmp_path):
         pairs = []
@@ -350,3 +413,28 @@ class TestErrorsAndDeterminism:
             pairs.append(outputs)
         for a, b in pairs:
             assert a == b
+
+
+SUBCOMMANDS = ["spectrum", "winding", "edge", "scan", "modes", "deform", "verify", "phase-diagram"]
+
+
+def run_module(*argv):
+    """python -m chiraledge ARGV in a fresh interpreter, importing from this checkout's src/."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run(
+        [sys.executable, "-m", "chiraledge", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestCommandLineSmoke:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_help_lists_every_tolerance(self, command):
+        result = run_module(command, "--help")
+        assert result.returncode == 0, result.stderr
+        for f in dataclasses.fields(Tolerances):
+            assert f"--tol.{f.name}" in result.stdout
+
+    def test_tolerance_before_the_subcommand(self):
+        result = run_module("--tol.kernel=1e-6", "winding", "--fixture", "ssh:t1=1,t2=2")
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["meta"]["tolerances"]["kernel"] == 1e-6
