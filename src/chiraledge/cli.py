@@ -45,6 +45,8 @@ from .models import (
     load_model,
     model_to_dict,
     momenta,
+    parse_fields,
+    parse_number,
     unit_circle,
 )
 # chiral_gap_margin is unused here but stays importable: perfbench/spans.py wraps it.
@@ -177,52 +179,20 @@ def _meta(raw: bytes, seed: int, tol: Tolerances, options: dict) -> dict:
     }
 
 
-def _parse_pair(text: str, what: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParseError(f"{what} must be 'LO,HI', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as exc:
-        raise ParseError(f"{what} values must be numbers") from exc
-
-
-def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    try:
-        if len(parts) == 1:
-            return complex(float(parts[0]), 0.0)
-        if len(parts) == 2:
-            return complex(float(parts[0]), float(parts[1]))
-    except ValueError:
-        pass
-    raise ParseError(f"energy must be 'RE' or 'RE,IM', got {text!r}")
-
-
 def _parse_ensemble(text: str, default_seed: int) -> EnsembleSpec:
     fields = {"seed": default_seed, "scale": 1.0, "gap_floor": 0.05}
-    for token in text.split(","):
-        key, _, value = token.partition("=")
-        if key not in ("dim_v", "range", "count", "seed", "scale", "gap_floor"):
-            raise ParseError(f"unknown ensemble field {key!r}")
-        try:
-            fields[key] = float(value) if key in ("scale", "gap_floor") else int(value)
-        except ValueError as exc:
-            raise ParseError(f"ensemble field {key}={value!r} is not a number") from exc
+    for key, value in parse_fields(text, ("dim_v", "range", "count", "seed", "scale", "gap_floor"), "ensemble").items():
+        fields[key] = parse_number(value, f"ensemble {key}", float if key in ("scale", "gap_floor") else int)
     for req in ("dim_v", "range", "count"):
         if req not in fields:
             raise ParseError(f"ensemble spec needs {req}=...")
     if fields["dim_v"] < 2 or fields["dim_v"] % 2:
         raise ParseError(f"ensemble dim_v must be even and positive, got {fields['dim_v']}")
-    if fields["count"] < 0 or fields["range"] < 1:
-        raise ParseError("ensemble needs count >= 0 and range >= 1")
+    if fields["count"] < 0 or fields["range"] < 1 or fields["seed"] < 0:
+        raise ParseError("ensemble needs count >= 0, range >= 1 and seed >= 0")
     return EnsembleSpec(
-        seed=int(fields["seed"]),
-        count=int(fields["count"]),
-        dim_v=int(fields["dim_v"]),
-        hop_range=int(fields["range"]),
-        coefficient_scale=float(fields["scale"]),
-        gap_floor=float(fields["gap_floor"]),
+        seed=fields["seed"], count=fields["count"], dim_v=fields["dim_v"], hop_range=fields["range"],
+        coefficient_scale=fields["scale"], gap_floor=fields["gap_floor"],
     )
 
 
@@ -290,7 +260,11 @@ def _cmd_edge(args, tol) -> int:
 def _cmd_scan(args, tol) -> int:
     model, grading, raw = _resolve_model(args, tol)
     gap = certified_gap(model, around_energy=0.0 if grading is not None else None)
-    window = _parse_pair(args.window, "--window") if args.window else in_gap_window(gap)
+    window = in_gap_window(gap)
+    if args.window:
+        window = tuple(parse_number(x, "--window") for x in args.window.split(","))
+        if len(window) != 2 or window[0] >= window[1]:
+            raise ParseError(f"--window must be 'LO,HI' with LO < HI, got {args.window!r}")
     hits = in_gap_scan(model, args.cells, window, gap=gap)
     meta = _meta(raw, args.seed, tol, {"cells": args.cells, "window": list(window)})
     _emit_csv(
@@ -304,12 +278,12 @@ def _cmd_scan(args, tol) -> int:
 
 def _cmd_modes(args, tol) -> int:
     model, grading, raw = _resolve_model(args, tol)
-    energy = _parse_complex(args.energy)
+    parts = [parse_number(x, "--energy") for x in args.energy.split(",")]
+    if len(parts) > 2:
+        raise ParseError(f"--energy must be 'RE' or 'RE,IM', got {args.energy!r}")
+    energy = complex(*parts)
+    values = [parse_number(x, "--initial") for x in args.initial.split(",")]
     comp = build_companion(model, energy, tol)
-    try:
-        values = [float(x) for x in args.initial.split(",")]
-    except ValueError as exc:
-        raise ParseError("--initial must be a comma-separated list of numbers") from exc
     n = comp.size
     if len(values) == n:
         initial = np.array(values, dtype=complex)
@@ -323,6 +297,8 @@ def _cmd_modes(args, tol) -> int:
     steps = args.steps if args.steps is not None else 4 * model.hop_range + 4
     if steps < 1:
         raise ParseError(f"--steps must be at least 1, got {steps}")
+    if args.back < 0:
+        raise ParseError(f"--back must not be negative, got {args.back}")
     mode = propagate(comp, initial, steps=steps, first_cell=args.start, back_steps=args.back, tol=tol)
     meta = _meta(
         raw,
@@ -512,18 +488,12 @@ def _cmd_phase_diagram(args, tol) -> int:
             raise ParseError(f"{which} must be an object with name, min and max")
         if spec["name"] not in allowed:
             raise ParseError(f"family {doc['family']!r} has parameters {allowed}, not {spec['name']!r}")
-        try:
-            return str(spec["name"]), float(spec["min"]), float(spec["max"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{which} min and max must be numbers") from exc
+        return str(spec["name"]), parse_number(spec["min"], f"{which} min"), parse_number(spec["max"], f"{which} max")
 
     name1, lo1, hi1 = axis(doc["param1"], "param1")
     name2, lo2, hi2 = axis(doc["param2"], "param2")
-    try:
-        n1_str, n2_str = args.grid.lower().split("x")
-        n1, n2 = int(n1_str), int(n2_str)
-    except ValueError as exc:
-        raise ParseError(f"--grid must be like 64x64, got {args.grid!r}") from exc
+    n1_str, _, n2_str = args.grid.lower().partition("x")
+    n1, n2 = (parse_number(n, f"--grid {args.grid!r} (like 64x64)", int) for n in (n1_str, n2_str))
     if n1 < 0 or n2 < 0:
         raise ParseError(f"--grid sizes must not be negative, got {args.grid!r}")
 
@@ -541,10 +511,10 @@ def _cmd_phase_diagram(args, tol) -> int:
 def _tolerance(text: str) -> float:
     """A --tol. value: finite and positive (a NaN band would refuse no root)."""
     try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number") from None
-    if not (math.isfinite(value) and value > 0):
+        value = parse_number(text, "tolerance")
+    except ParseError as exc:  # argparse turns only ArgumentTypeError into a usage error
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value <= 0:
         raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
     return value
 

@@ -294,6 +294,8 @@ def propagate(
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if back_steps < 0:
+        raise ValueError("back_steps must be >= 0")
     model = cm.model
     d, big_r = model.dim_v, model.hop_range
     initial = np.asarray(initial, dtype=complex).reshape(2 * big_r * d)

@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParseError
-from .models import ChiralModel, build_model, chiral_split
+from .models import ChiralModel, build_model, chiral_split, parse_fields, parse_number
 
 _GRADING = np.array([1, -1])
 
@@ -68,17 +68,8 @@ def fixture(spec: str) -> ChiralModel:
     if name not in _BUILDERS:
         raise ParseError(f"unknown fixture {spec!r}; available: {', '.join(FIXTURE_NAMES)}")
     builder, allowed = _BUILDERS[name]
-    kwargs = {}
-    if params:
-        for token in params.split(","):
-            key, _, value = token.partition("=")
-            if key not in allowed:
-                raise ParseError(f"fixture {name!r} takes {allowed or 'no parameters'}, got {key!r}")
-            try:
-                kwargs[key] = float(value)
-            except ValueError as exc:
-                raise ParseError(f"fixture parameter {token!r} is not a number") from exc
-    return builder(**kwargs)
+    fields = parse_fields(params, allowed, f"fixture {name!r}") if params else {}
+    return builder(**{key: parse_number(value, f"fixture parameter {key}") for key, value in fields.items()})
 
 
 # Two-parameter families for the phase-diagram sweep: the fixtures with parameters.

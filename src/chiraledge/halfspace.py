@@ -48,7 +48,6 @@ from .errors import (
     GapNotCertified,
     NonConvergent,
     TooFewCells,
-    UnbalancedGrading,
 )
 # build_model is unused here but stays importable: perfbench/spans.py wraps it.
 from .models import ChiralModel, MatrixLoop, ModelParams, build_model
@@ -337,8 +336,6 @@ def edge_modes_truncated(
     section would leave a kernel singular value above the threshold and
     undercount.
     """
-    if not cm.balanced:
-        raise UnbalancedGrading("edge index needs balanced graded components")
     if gap is None:
         gap = chiral_gap(cm)
     if not gap.gapped or not (gap.e_minus < 0.0 < gap.e_plus):
@@ -400,8 +397,6 @@ def edge_modes_companion(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Edge
     left of the edge, must vanish.  Any leading hop is allowed.  A singular
     pencil raises GapNotCertified.
     """
-    if not cm.balanced:
-        raise UnbalancedGrading("graded kernel dimensions need balanced components")
     dims, decay_dims, svals = [], [], []
     for which in ("pm", "mp"):
         symbol = cm.symbol(which)

@@ -54,7 +54,7 @@ from .config import (
     DEFAULT_TOL,
     Tolerances,
 )
-from .errors import CertificateFailed, SpectrumOnCriticalLine, UnbalancedGrading
+from .errors import CertificateFailed, SpectrumOnCriticalLine
 from .models import (
     ChiralModel,
     MatrixLoop,
@@ -718,8 +718,6 @@ def full_deformation(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Homotopy
     rate 0, 8R cells.  Its symbol squares to I on the circle, so its gap
     (-1, 1) is exact.
     """
-    if not cm.balanced:
-        raise UnbalancedGrading("deformation needs a balanced graded model")
     loop = cm.symbol("pm").trimmed()
     hop_range = loop.natural_range
     builder = _Builder(loop.eval_many, loop.size)

@@ -17,6 +17,7 @@ representation of Laurent coefficients that every other module reads.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .errors import (
     ParseError,
     RangeZero,
     ShapeMismatch,
+    UnbalancedGrading,
     UnbalancedGradingWarning,
     ZeroMomentum,
 )
@@ -302,9 +304,14 @@ class ChiralModel:
         return self.base.dim_v
 
     def symbol(self, which: str) -> MatrixLoop:
-        """Graded block h_pm ("pm") or h_mp ("mp") of H(lambda) as a loop with powers -R..R."""
+        """Graded block h_pm ("pm") or h_mp ("mp") of H(lambda) as a loop with powers -R..R.
+
+        The one refusal of an unbalanced grading: every winding, gap, edge and deformation route reads blocks here.
+        """
         if which not in ("pm", "mp"):
             raise ValueError(f"unknown block {which!r}")
+        if not self.balanced:
+            raise UnbalancedGrading("winding, gap, edge index and deformation need a square h_pm block")
         h_pm = MatrixLoop(
             -self.hop_range, np.concatenate([_adjoints(self.a_mp)[::-1], self.v_block[None], self.a_pm])
         )
@@ -407,6 +414,8 @@ def _pairs_to_matrix(obj, what: str) -> np.ndarray:
         raise ParseError(f"{what}: expected nested [re, im] pairs") from exc
     if arr.ndim != 3 or arr.shape[2] != 2:
         raise ParseError(f"{what}: expected a matrix of [re, im] pairs, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{what}: entries must be finite")
     return arr[..., 0] + 1j * arr[..., 1]
 
 
@@ -417,6 +426,32 @@ def _json_int(value, what: str) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     raise ParseError(f"{what} must be an integer, got {value!r}")
+
+
+def parse_number(text, what: str, kind=float):
+    """A finite kind(text) for a number from outside: a flag, a spec field, a family axis.
+
+    Whatever kind() refuses, and NaN or +-inf, raise ParseError; a
+    non-finite number would crash the numerics or print NaN rows.
+    """
+    try:
+        value = kind(text)
+        if math.isfinite(value):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParseError(f"{what} must be a finite number, got {text!r}")
+
+
+def parse_fields(text: str, allowed, what: str) -> dict:
+    """'key=value,key=value' as {key: value text}; a key outside `allowed` raises ParseError."""
+    fields = {}
+    for token in text.split(","):
+        key, _, value = token.partition("=")
+        if key not in allowed:
+            raise ParseError(f"{what} takes {', '.join(allowed) or 'no parameters'}, got {key!r}")
+        fields[key] = value
+    return fields
 
 
 def model_to_dict(model: ModelParams, grading=None) -> dict:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import NUM_K_CAP, NUM_K_DEFAULT
-from .errors import GapNotCertified, NotSelfAdjoint, UnbalancedGrading
+from .errors import GapNotCertified, NotSelfAdjoint
 from .models import ChiralModel, ModelParams, least_singular_value, momenta, unit_circle
 
 
@@ -108,8 +108,6 @@ def chiral_gap(cm: ChiralModel) -> GapReport:
     sigma_min is at most lipschitz * pi / NUM_K_CAP: a finer grid holds these
     samples, so its bound cannot be positive.
     """
-    if not cm.balanced:
-        raise UnbalancedGrading("zero-energy gap needs a square h_pm block")
     h_pm = cm.symbol("pm")
     n = NUM_K_DEFAULT
     while True:
@@ -126,6 +124,4 @@ def chiral_gap_margin(cm: ChiralModel) -> float:
     dip to 0 between samples.  chiral_gap(cm) certifies the zero-energy gap
     against the sampling error.
     """
-    if not cm.balanced:
-        raise UnbalancedGrading("gap margin at zero energy needs a square h_pm block")
     return least_singular_value(cm.symbol("pm").eval_many(unit_circle(NUM_K_DEFAULT)))

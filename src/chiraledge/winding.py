@@ -17,7 +17,7 @@ import numpy as np
 
 from .companion import decaying_sector
 from .config import DEFAULT_TOL, NUM_K_DEFAULT, WINDING_SAMPLE_CAP, Tolerances
-from .errors import BorderlineEigenvalue, GapNotCertified, NonConvergent, UnbalancedGrading
+from .errors import BorderlineEigenvalue, GapNotCertified, NonConvergent
 from .models import ChiralModel, momenta, unit_circle
 
 
@@ -83,8 +83,6 @@ def winding_phase(cm: ChiralModel, initial_samples: int = NUM_K_DEFAULT, tol: To
     The unwrap starts from det h_pm on unit_circle(initial_samples); raises
     ValueError below 8 samples.
     """
-    if not cm.balanced:
-        raise UnbalancedGrading("winding needs a square h_pm block")
     if initial_samples < 8:
         raise ValueError(f"initial_samples must be at least 8, got {initial_samples}")
     det = cm.symbol("pm").det_fn()
@@ -96,8 +94,6 @@ def winding_phase(cm: ChiralModel, initial_samples: int = NUM_K_DEFAULT, tol: To
 
 def winding_roots(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> int:
     """Winding of det h_pm by root counting (validator); refuses as companion.decaying_sector does."""
-    if not cm.balanced:
-        raise UnbalancedGrading("root counting needs a square h_pm block")
     inside, _, _ = decaying_sector(cm.symbol("pm"), tol)
     return inside - cm.hop_range * cm.dim_plus
 

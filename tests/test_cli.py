@@ -365,12 +365,28 @@ class TestErrorsAndDeterminism:
             ["winding", "{model_grading_fraction}"],
             ["winding", "{model_grading_string}"],
             ["winding", "{model_grading_object}"],
+            ["edge", "--fixture", "ssh:t1=nan,t2=2"],
+            ["edge", "--fixture", "ssh:t1=inf,t2=2"],
+            ["verify", "--ensemble", "dim_v=2,range=1,count=1,scale=nan"],
+            ["verify", "--ensemble", "dim_v=2,range=1,count=1,seed=-1"],
+            ["phase-diagram", "{family_min_nan}", "--grid", "2x2"],
+            ["winding", "{model_hop_nan}"],
+            ["modes", "--fixture", "defective:theta=0", "--energy", "nan", "--initial", "0,0,1,0"],
+            ["modes", "--fixture", "defective:theta=0", "--initial", "nan,0,1,0", "--steps", "2"],
+            ["modes", "--fixture", "defective:theta=0", "--initial", "nan,0,1,0", "--steps", "2", "--out", "{curve}"],
+            ["scan", "--fixture", "ssh:t1=1,t2=2", "--window", "nan,nan"],
+            ["modes", "--fixture", "defective:theta=0", "--initial", "0,0,1,0", "--back=-3", "--steps", "2"],
+            ["scan", "--fixture", "ssh:t1=1,t2=2", "--window", "0.5,-0.5"],
+            ["scan", "--fixture", "ssh:t1=1,t2=2", "--window", "0.5,0.5"],
         ],
         ids=["ensemble-not-a-number", "ensemble-no-value", "ensemble-odd-dim", "ensemble-range-0",
              "family-min-not-a-number", "grid-negative", "modes-steps-0", "spectrum-samples-4",
              "winding-samples-4", "winding-samples-negative", "family-axis-string", "family-doc-string",
              "family-name-list", "model-dim_v-fraction", "model-range-fraction", "model-range-bool",
-             "model-grading-fraction", "model-grading-string", "model-grading-object"],
+             "model-grading-fraction", "model-grading-string", "model-grading-object",
+             "fixture-nan", "fixture-inf", "ensemble-scale-nan", "ensemble-seed-negative", "family-min-nan",
+             "model-hop-nan", "modes-energy-nan", "modes-initial-nan", "modes-initial-nan-out", "window-nan",
+             "modes-back-negative", "window-reversed", "window-empty"],
     )
     def test_malformed_input_exits_2(self, capsys, family_file, tmp_path, argv):
         family = json.loads(family_file.read_text())
@@ -387,6 +403,8 @@ class TestErrorsAndDeterminism:
             "model_grading_fraction": {**model, "grading": [1, -1.7]},
             "model_grading_string": {**model, "grading": "ab"},
             "model_grading_object": {**model, "grading": {"a": 1}},
+            "family_min_nan": {**family, "param1": {**family["param1"], "min": float("nan")}},
+            "model_hop_nan": {**model, "right_hops": [[[[0.0, 0.0], [0.0, 0.0]], [[float("nan"), 0.0], [0.0, 0.0]]]]},
         }
         paths = {"family": family_file, "curve": tmp_path / "curve.csv"}
         for name, doc in docs.items():

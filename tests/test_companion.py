@@ -264,6 +264,12 @@ class TestPropagate:
         with pytest.raises(SingularRightHop):
             propagate(comp, np.ones(4), steps=2, back_steps=2)
 
+    def test_negative_back_steps_refused(self):
+        # A negative count ran no leftward step but still moved first_cell.
+        comp = build_companion(scalar_chain(), 0.5)
+        with pytest.raises(ValueError, match="back_steps"):
+            propagate(comp, [1.0, 0.5], steps=3, back_steps=-3)
+
     def test_backward_extends_left(self):
         comp = build_companion(scalar_chain(), 0.5)
         mode = propagate(comp, [1.0, 0.5], steps=3, back_steps=2)

@@ -1,10 +1,11 @@
 import ast
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import chiraledge
 from chiraledge.config import NUM_K_DEFAULT
@@ -14,11 +15,13 @@ from chiraledge.errors import (
     ParseError,
     RangeZero,
     ShapeMismatch,
+    UnbalancedGrading,
     UnbalancedGradingWarning,
     ZeroMomentum,
 )
-from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, ssh
-from chiraledge.halfspace import toeplitz_block
+from chiraledge.fixtures import defective, dimerized_minus, dimerized_plus, dimerized_trivial, fixture, ssh
+from chiraledge.halfspace import edge_modes_companion, edge_modes_truncated, toeplitz_block
+from chiraledge.loops import full_deformation
 from chiraledge.models import (
     ChiralModel,
     MatrixLoop,
@@ -31,10 +34,12 @@ from chiraledge.models import (
     load_model,
     model_from_dict,
     model_to_dict,
+    parse_number,
     save_model,
 )
-from chiraledge.spectrum import chiral_gap_margin
+from chiraledge.spectrum import chiral_gap, chiral_gap_margin
 from chiraledge.verify import EnsembleSpec, has_singular_leading_hop, random_chiral_ensemble
+from chiraledge.winding import full_winding, winding_phase, winding_roots
 
 HOP = np.array([[0, 0], [1, 0]], dtype=complex)
 
@@ -115,6 +120,21 @@ class TestChiralSplit:
         with pytest.warns(UnbalancedGradingWarning):
             cm = chiral_split(m, [1, 1, 1, -1])
         assert not cm.balanced
+
+    @pytest.mark.filterwarnings("ignore::chiraledge.errors.UnbalancedGradingWarning")
+    @pytest.mark.parametrize(
+        "entry",
+        [winding_phase, winding_roots, full_winding, edge_modes_truncated, edge_modes_companion,
+         chiral_gap, chiral_gap_margin, full_deformation],
+    )
+    def test_unbalanced_refused_by_every_entry_point(self, entry):
+        # ChiralModel.symbol refuses a non-square block, and every winding,
+        # gap, edge-index and deformation route reads the blocks through it.
+        hop = np.zeros((4, 4), dtype=complex)
+        hop[3, 0] = 1.0
+        cm = chiral_split(build_model(4, 1, np.zeros((4, 4)), [hop]), [1, 1, 1, -1])
+        with pytest.raises(UnbalancedGrading):
+            entry(cm)
 
     def test_reassembly_round_trip(self):
         for cm in (dimerized_plus(), ssh(1.3, -0.7), defective(0.4)):
@@ -360,6 +380,61 @@ def _grid_builders(tree: ast.Module):
                 yield owner
                 continue
         stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
+def _number_readers(tree: ast.Module):
+    """The function (dotted under its class or outer function) of every try
+    that calls float, int or complex and has a handler catching ValueError,
+    the shape of a hand-rolled reader of an outside number."""
+    stack = [(tree, None)]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            owner = node.name if owner is None else f"{owner}.{node.name}"
+        if isinstance(node, ast.Try):
+            catches = any(
+                h.type is None or {"ValueError", "Exception"} & {n.id for n in ast.walk(h.type) if isinstance(n, ast.Name)}
+                for h in node.handlers
+            )
+            converts = any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id in ("float", "int", "complex")
+                for stmt in node.body
+                for n in ast.walk(stmt)
+            )
+            if catches and converts:
+                yield owner
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+
+
+def test_parse_number_reads_every_outside_number():
+    # Flags, spec fields, family axes and fixture parameters go through
+    # models.parse_number, the one place that refuses text and non-finite
+    # values; a second try/float reader would let NaN through again.
+    found = set()
+    for path in sorted(Path(chiraledge.__file__).parent.glob("*.py")):
+        found |= {(path.name, owner) for owner in _number_readers(ast.parse(path.read_text()))}
+    assert found <= {("models.py", "parse_number")}, f"hand-rolled number readers: {sorted(found)}"
+
+
+@given(text=st.text() | st.floats().map(repr))
+@example(text="nan")
+@example(text="-inf")
+@example(text="1e400")
+@example(text="")
+@example(text="0x1")
+def test_outside_numbers_are_finite_or_refused(text):
+    try:
+        value = parse_number(text, "value")
+    except ParseError:
+        pass
+    else:
+        assert math.isfinite(value)
+    try:
+        cm = fixture(f"ssh:t1={text},t2=1")
+    except ParseError:
+        pass
+    else:
+        assert isinstance(cm, ChiralModel)
 
 
 def test_models_owns_the_momentum_grid():
