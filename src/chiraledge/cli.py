@@ -4,9 +4,12 @@ Every JSON/CSV output embeds the tool version, a hash of the input model, the
 seed, and the tolerances in force.  Floats are rounded to 12 significant
 digits so repeated runs are byte-identical at the same BLAS build and thread
 count; printed numerical zeros such as singular_values_near_zero change digits
-with OPENBLAS_NUM_THREADS.  phase-diagram spreads its grid cells over the CPUs
-of the process's affinity mask and writes the rows in grid order, so its
-output does not depend on how many CPUs there are.
+with OPENBLAS_NUM_THREADS.  phase-diagram certifies every grid cell's gap,
+runs the winding and edge routes once per run of neighbouring cells that a
+certified gapped segment links (the other members inherit the integers), and
+spreads its grid rows over the CPUs of the process's affinity mask, one row
+per task.  Links stay inside a row and the rows are written in grid order, so
+its output does not depend on how many CPUs there are.
 """
 
 from __future__ import annotations
@@ -190,6 +193,12 @@ def _parse_ensemble(text: str, default_seed: int) -> EnsembleSpec:
         raise ParseError(f"ensemble dim_v must be even and positive, got {fields['dim_v']}")
     if fields["count"] < 0 or fields["range"] < 1 or fields["seed"] < 0:
         raise ParseError("ensemble needs count >= 0, range >= 1 and seed >= 0")
+    # The draws' norms square the scale: it must neither overflow nor vanish.
+    if not (fields["scale"] > 0 and 0 < fields["scale"] * fields["scale"] < math.inf) or fields["gap_floor"] < 0:
+        raise ParseError(
+            f"ensemble needs a positive scale whose square is a finite nonzero float and gap_floor >= 0, "
+            f"got scale={fields['scale']!r}, gap_floor={fields['gap_floor']!r}"
+        )
     return EnsembleSpec(
         seed=fields["seed"], count=fields["count"], dim_v=fields["dim_v"], hop_range=fields["range"],
         coefficient_scale=fields["scale"], gap_floor=fields["gap_floor"],
@@ -413,26 +422,76 @@ def _cmd_verify(args, tol) -> int:
     return 0 if entry["passed"] else 1
 
 
-def _phase_cell(family: str, name1: str, name2: str, cells, tol, point) -> list:
-    """One phase-diagram row [p1, p2, winding, edge_index, gap_margin]."""
-    v1, v2 = point
-    cm = FAMILIES[family][0](**{name1: float(v1), name2: float(v2)})
-    # A cell whose zero-energy gap does not certify gets empty fields;
-    # gap_margin is the sampled sigma_min of the last grid either way.
-    gap = chiral_gap(cm)
-    winding = edge = ""
-    if gap.gapped:
-        try:
-            winding = full_winding(cm, tol=tol).winding
-        except ChiralEdgeError:
-            winding = ""
-        try:
-            # Auto cells refuse (empty field) when the decay is too
-            # slow to resolve the kernel, rather than undercounting.
-            edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gap).edge_index
-        except ChiralEdgeError:
-            edge = ""
-    return [v1, v2, winding, edge, gap.e_plus]
+def _phase_routes(cm: ChiralModel, gap, cells, tol) -> tuple:
+    """(winding, edge_index) of one gapped cell by its own two routes; "" where a route refuses."""
+    try:
+        winding = full_winding(cm, tol=tol).winding
+    except ChiralEdgeError:
+        winding = ""
+    try:
+        # Auto cells refuse (empty field) when the decay is too
+        # slow to resolve the kernel, rather than undercounting.
+        edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gap).edge_index
+    except ChiralEdgeError:
+        edge = ""
+    return winding, edge
+
+
+def _linked_runs(symbols, gaps) -> list:
+    """Maximal runs of neighbouring gapped cells, as lists of indices.
+
+    Neighbours a and b link when their h_pm loops have the same shape and
+    Laurent powers and D = sum_j ||c_j^b - c_j^a||_2 < (beta_a + beta_b) / 2,
+    where beta = certificate_margin / 2 is chiral_gap's lower bound on the inf
+    of sigma_min over the circle.  D bounds ||h_b - h_a|| on the whole circle
+    without sampling, so by Weyl's inequality every h_s = (1 - s) h_a + s h_b
+    has sigma_min >= max(beta_a - s D, beta_b - (1 - s) D) >= (beta_a + beta_b - D) / 2
+    > 0: the segment stays gapped and both cells share their winding and edge
+    index.  The factor 1/2 leaves room for rounding.  A cell without a gap is
+    in no run, and a row whose loops differ in shape or powers links nothing.
+    """
+    if len(symbols) > 1 and len({(s.lowest_power, s.coeffs.shape) for s in symbols}) == 1:
+        steps = np.linalg.norm(np.diff([s.coeffs for s in symbols], axis=0), 2, axis=(2, 3)).sum(axis=1)
+    else:
+        steps = np.full(max(len(symbols) - 1, 0), np.inf)
+    margins = [gap.certificate_margin for gap in gaps]
+    runs = []
+    for i, gap in enumerate(gaps):
+        if not gap.gapped:
+            continue
+        if runs and runs[-1][-1] == i - 1 and steps[i - 1] < (margins[i - 1] + margins[i]) / 4:
+            runs[-1].append(i)
+        else:
+            runs.append([i])
+    return runs
+
+
+def _phase_row(family: str, name1: str, name2: str, cells, tol, points) -> list:
+    """The phase-diagram rows [p1, p2, winding, edge_index, gap_margin, decided] of one grid row.
+
+    Every cell is built and certified by chiral_gap; a cell whose zero-energy
+    gap does not certify gets empty fields, and gap_margin is the sampled
+    sigma_min of the last grid either way.  In each run of linked cells
+    (_linked_runs) only the best-gapped cell runs both routes, and when they
+    agree every other member takes its integers (decided "linked").  When the
+    representative's routes refuse or disagree, every member decides by its
+    own routes (decided "routes"): a refusal is never inherited.
+    """
+    cms = [FAMILIES[family][0](**{name1: float(v1), name2: float(v2)}) for v1, v2 in points]
+    gaps = [chiral_gap(cm) for cm in cms]
+    rows = [[v1, v2, "", "", gap.e_plus, ""] for (v1, v2), gap in zip(points, gaps)]
+    for run in _linked_runs([cm.symbol("pm") for cm in cms], gaps):
+        best = max(run, key=lambda i: gaps[i].certificate_margin)
+        answer = _phase_routes(cms[best], gaps[best], cells, tol)
+        inherit = answer[0] != "" and answer[0] == answer[1]
+        for i in run:
+            if i == best or inherit:
+                rows[i][2:4] = answer
+                rows[i][5] = "routes" if i == best else "linked"
+            else:
+                rows[i][2:4] = _phase_routes(cms[i], gaps[i], cells, tol)
+                rows[i][5] = "routes"
+    return rows
 
 
 def _map_in_order(func, items) -> list:
@@ -441,10 +500,10 @@ def _map_in_order(func, items) -> list:
     Each call gets its own pool, one worker per CPU the process may run on
     and at most one per item, and joins it before returning.  Workers are
     forked, not spawned: a spawned worker imports numpy and scipy again,
-    0.4-1 s on a 2-vCPU VM, more than a 142-cell ssh grid takes.  Fewer than
+    0.4-1 s on a 2-vCPU VM, more than two 71-cell ssh rows take.  Fewer than
     two workers (one item, one CPU, or a caller that is itself a daemonic
     worker and may not fork) run inline.  Pool.map's default chunks, about
-    four per worker, even out the slow sparse items.  Results come back in
+    four per worker, even out the slow items.  Results come back in
     item order, so they do not depend on the worker count; an exception
     raised in a worker is raised again here.
     """
@@ -497,11 +556,11 @@ def _cmd_phase_diagram(args, tol) -> int:
     if n1 < 0 or n2 < 0:
         raise ParseError(f"--grid sizes must not be negative, got {args.grid!r}")
 
-    points = [(v1, v2) for v1 in np.linspace(lo1, hi1, n1) for v2 in np.linspace(lo2, hi2, n2)]
-    cell = functools.partial(_phase_cell, doc["family"], name1, name2, args.cells, tol)
-    rows = _map_in_order(cell, points)
+    grid_rows = [[(v1, v2) for v2 in np.linspace(lo2, hi2, n2)] for v1 in np.linspace(lo1, hi1, n1)]
+    row = functools.partial(_phase_row, doc["family"], name1, name2, args.cells, tol)
+    rows = [cell for cells in _map_in_order(row, grid_rows) for cell in cells]
     meta = _meta(raw, args.seed, tol, {"grid": args.grid, "cells": args.cells, "family": doc["family"]})
-    _emit_csv([name1, name2, "winding", "edge_index", "gap_margin"], rows, meta, args.out)
+    _emit_csv([name1, name2, "winding", "edge_index", "gap_margin", "decided"], rows, meta, args.out)
     return 0
 
 

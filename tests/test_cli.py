@@ -8,12 +8,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg.lapack
+from hypothesis import assume, given, strategies as st
 
-from chiraledge import verify
+from chiraledge import cli, verify
 from chiraledge.cli import main
 from chiraledge.config import Tolerances
+from chiraledge.errors import NonConvergent
 from chiraledge.fixtures import ssh
-from chiraledge.models import model_to_dict, save_model
+from chiraledge.halfspace import edge_modes_truncated
+from chiraledge.loops import model_from_loop
+from chiraledge.models import MatrixLoop, model_to_dict, save_model, unit_circle
+from chiraledge.spectrum import chiral_gap
+from chiraledge.winding import full_winding
 
 from test_winding import root_pair_between_samples
 
@@ -179,7 +185,7 @@ class TestNonConvergentSolve:
         assert code == 0
         rows = [l.split(",") for l in out_csv.read_text().splitlines() if not l.startswith("#")][1:]
         # t2 = 2 decays as 0.45^n and stays on the dense path.
-        assert [(w, edge) for _, _, w, edge, _ in rows] == [("1", ""), ("1", "1")]
+        assert [(w, edge) for _, _, w, edge, _, _ in rows] == [("1", ""), ("1", "1")]
 
 
 class TestScanCommand:
@@ -228,12 +234,12 @@ class TestPhaseDiagram:
         rows = [l for l in out_csv.read_text().splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 16
         for row in rows:
-            t1, t2, w, edge, margin = row.split(",")
+            t1, t2, w, edge, margin, decided = row.split(",")
             if abs(abs(float(t1)) - abs(float(t2))) < 1e-9:
-                assert w == "" and edge == ""
+                assert w == "" and edge == "" and decided == ""
             else:
                 expected = "1" if abs(float(t2)) > abs(float(t1)) else "0"
-                assert w == expected and edge == expected
+                assert w == expected and edge == expected and decided in ("routes", "linked")
 
 
     def test_uncertified_cell_left_empty(self, capsys, tmp_path):
@@ -254,8 +260,8 @@ class TestPhaseDiagram:
         assert code == 0
         rows = [l.split(",") for l in out_csv.read_text().splitlines() if not l.startswith("#")][1:]
         assert len(rows) == 1
-        _, _, winding, edge, margin = rows[0]
-        assert (winding, edge) == ("", "")
+        _, _, winding, edge, margin, decided = rows[0]
+        assert (winding, edge, decided) == ("", "", "")
         assert float(margin) == pytest.approx(2e-6, rel=1e-6)
 
     def test_borderline_root_leaves_edge_empty(self, capsys, tmp_path):
@@ -277,7 +283,108 @@ class TestPhaseDiagram:
         )
         assert code == 0
         rows = [l for l in out_csv.read_text().splitlines() if not l.startswith("#")][1:]
-        assert rows == ["0.995,1,1,,0.005"]
+        assert rows == ["0.995,1,1,,0.005,routes"]
+
+
+def phase_rows(capsys, tmp_path, t1, t2, grid):
+    """The data rows of an ssh phase diagram over t1 = (min, max) and t2 = (min, max), split into fields."""
+    family = tmp_path / "fam.json"
+    axes = (("param1", "t1", t1), ("param2", "t2", t2))
+    family.write_text(json.dumps({"family": "ssh", **{k: {"name": n, "min": lo, "max": hi} for k, n, (lo, hi) in axes}}))
+    out_csv = tmp_path / "pd.csv"
+    code, _, _ = run(capsys, "phase-diagram", str(family), "--grid", grid, "--out", str(out_csv))
+    assert code == 0
+    return [l.split(",") for l in out_csv.read_text().splitlines() if not l.startswith("#")][1:]
+
+
+# The five shapes (dim_v, range) of acceptance criterion 4.
+CRITERION_4_SHAPES = [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2)]
+
+
+class TestLinkedRows:
+    # ssh's h_pm is t1 + t2 lambda, so sigma_min = | |t1| - |t2| | and a step
+    # along a row changes one coefficient: D = |t2' - t2|.
+    def test_coarse_grid_links_only_certified_steps(self, capsys, tmp_path):
+        t1s, t2s = (0.25, 1.0, 1.75), (1.25, 2.0, 2.75)
+        expected_runs = [[[0, 1, 2]], [[0], [1, 2]], [[0], [1], [2]]]
+        for t1, want in zip(t1s, expected_runs):
+            cms = [ssh(t1, t2) for t2 in t2s]
+            gaps = [chiral_gap(cm) for cm in cms]
+            runs = cli._linked_runs([cm.symbol("pm") for cm in cms], gaps)
+            linked = {(i - 1, i) for run in runs for i in run[1:]}
+            for i in (1, 2):
+                beta_a, beta_b = (gaps[j].certificate_margin / 2 for j in (i - 1, i))
+                if (i - 1, i) in linked:
+                    assert abs(t2s[i] - t2s[i - 1]) < (beta_a + beta_b) / 2
+            # t1 = 1 steps from gap 0.25 to 1 and t1 = 1.75 from 0.25 to 1
+            # and across the transition: D >= (beta_a + beta_b) / 2 each time.
+            assert runs == want
+        rows = phase_rows(capsys, tmp_path, (0.25, 1.75), (1.25, 2.75), "3x3")
+        assert [(w, edge) for _, _, w, edge, _, _ in rows] == [("1", "1")] * 6 + [("0", "0"), ("1", "1"), ("1", "1")]
+        # The best-gapped member (t2 = 2.75) decides each run by its routes.
+        decided = ["linked", "linked", "routes", "routes", "linked", "routes", "routes", "routes", "routes"]
+        assert [row[5] for row in rows] == decided
+
+    def test_step_is_the_coefficient_sum_not_a_sampled_norm(self):
+        # h_b - h_a = diag(1.2, 1.2 lambda) has norm 1.2 everywhere on the
+        # circle, but its coefficient norms sum to D = 2.4 >= (beta_a + beta_b) / 2.
+        h_a = MatrixLoop(0, np.array([2 * np.eye(2), np.zeros((2, 2))], dtype=complex))
+        h_b = MatrixLoop(0, h_a.coeffs + np.array([np.diag([1.2, 0]), np.diag([0, 1.2])]))
+        cms = [model_from_loop(h) for h in (h_a, h_b)]
+        gaps = [chiral_gap(cm) for cm in cms]
+        threshold = (gaps[0].certificate_margin + gaps[1].certificate_margin) / 4
+        lams = unit_circle(512)
+        sampled = np.linalg.norm(h_b.eval_many(lams) - h_a.eval_many(lams), 2, axis=(1, 2)).max()
+        assert sampled < threshold < 2.4
+        assert cli._linked_runs([cm.symbol("pm") for cm in cms], gaps) == [[0], [1]]
+
+    @given(shape=st.sampled_from(CRITERION_4_SHAPES), seed=st.integers(0, 2**32 - 1), ratio=st.floats(0.05, 0.5))
+    def test_linked_models_share_their_integers(self, shape, seed, ratio):
+        # h_b = h_a + E with sum_j ||E_j|| = ratio * beta_a; the pair must link,
+        # and the routes must then give both models the same two integers.
+        dim_v, hop_range = shape
+        cm_a = verify.random_chiral_ensemble(verify.EnsembleSpec(seed, 1, dim_v, hop_range, gap_floor=0.3))[0]
+        h_a = cm_a.symbol("pm")
+        gap_a = chiral_gap(cm_a)
+        assume(gap_a.gapped)
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal(h_a.coeffs.shape) + 1j * rng.standard_normal(h_a.coeffs.shape)
+        e *= ratio * gap_a.certificate_margin / 2 / np.linalg.norm(e, 2, axis=(1, 2)).sum()
+        cm_b = model_from_loop(MatrixLoop(h_a.lowest_power, h_a.coeffs + e))
+        gap_b = chiral_gap(cm_b)
+        assert np.linalg.norm(e, 2, axis=(1, 2)).sum() < (gap_a.certificate_margin + gap_b.certificate_margin) / 4
+        assert cli._linked_runs([h_a, cm_b.symbol("pm")], [gap_a, gap_b]) == [[0, 1]]
+        integers = [
+            (full_winding(cm).winding, edge_modes_truncated(cm, gap=gap).edge_index)
+            for cm, gap in ((cm_a, gap_a), (cm_b, gap_b))
+        ]
+        assert integers[0] == integers[1]
+
+    @pytest.mark.parametrize("route", ["winding-refused", "winding-disagrees"])
+    def test_representative_failure_is_not_inherited(self, capsys, monkeypatch, tmp_path, route):
+        # t1 = 0.5, t2 = 1.5, 1.75, 2: one run, represented by t2 = 2.
+        real = cli.full_winding
+
+        def representative_fails(cm, **kwargs):
+            result = real(cm, **kwargs)
+            if cm.base.right_hops[0][1, 0] != 2.0:
+                return result
+            if route == "winding-refused":
+                raise NonConvergent("planted at the representative")
+            return dataclasses.replace(result, winding=result.winding + 1)
+
+        monkeypatch.setattr(cli, "full_winding", representative_fails)
+        rows = phase_rows(capsys, tmp_path, (0.5, 0.5), (1.5, 2.0), "1x3")
+        representative = ("", "1") if route == "winding-refused" else ("2", "1")
+        assert [tuple(row[2:4]) for row in rows] == [("1", "1"), ("1", "1"), representative]
+        assert [row[5] for row in rows] == ["routes"] * 3
+
+    def test_representative_band_solve_refusal_is_not_inherited(self, capsys, monkeypatch, tmp_path):
+        # t1 = 0.9, t2 = 1, 1.02, 1.04: one run whose every section takes the
+        # band route (120 cells at t2 = 1.04), whose solve is broken here.
+        monkeypatch.setattr(scipy.linalg.lapack, "zgbtrs", nan_band_solve)
+        rows = phase_rows(capsys, tmp_path, (0.9, 0.9), (1.0, 1.04), "1x3")
+        assert [(row[2], row[3], row[5]) for row in rows] == [("1", "", "routes")] * 3
 
 
 class TestErrorsAndDeterminism:
@@ -378,6 +485,11 @@ class TestErrorsAndDeterminism:
             ["modes", "--fixture", "defective:theta=0", "--initial", "0,0,1,0", "--back=-3", "--steps", "2"],
             ["scan", "--fixture", "ssh:t1=1,t2=2", "--window", "0.5,-0.5"],
             ["scan", "--fixture", "ssh:t1=1,t2=2", "--window", "0.5,0.5"],
+            ["verify", "--ensemble", "dim_v=2,range=1,count=1,scale=-1"],
+            ["verify", "--ensemble", "dim_v=2,range=1,count=1,scale=0"],
+            ["verify", "--ensemble", "dim_v=2,range=1,count=1,scale=1e300"],
+            ["verify", "--ensemble", "dim_v=2,range=1,count=1,scale=1e-200"],
+            ["verify", "--ensemble", "dim_v=2,range=1,count=1,gap_floor=-1"],
         ],
         ids=["ensemble-not-a-number", "ensemble-no-value", "ensemble-odd-dim", "ensemble-range-0",
              "family-min-not-a-number", "grid-negative", "modes-steps-0", "spectrum-samples-4",
@@ -386,7 +498,9 @@ class TestErrorsAndDeterminism:
              "model-grading-fraction", "model-grading-string", "model-grading-object",
              "fixture-nan", "fixture-inf", "ensemble-scale-nan", "ensemble-seed-negative", "family-min-nan",
              "model-hop-nan", "modes-energy-nan", "modes-initial-nan", "modes-initial-nan-out", "window-nan",
-             "modes-back-negative", "window-reversed", "window-empty"],
+             "modes-back-negative", "window-reversed", "window-empty", "ensemble-scale-negative",
+             "ensemble-scale-0", "ensemble-scale-square-overflows", "ensemble-scale-square-underflows",
+             "ensemble-gap_floor-negative"],
     )
     def test_malformed_input_exits_2(self, capsys, family_file, tmp_path, argv):
         family = json.loads(family_file.read_text())

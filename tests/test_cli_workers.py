@@ -1,7 +1,7 @@
-"""phase-diagram spreads its cells over worker processes; the bytes do not change.
+"""phase-diagram spreads its grid rows over worker processes; the bytes do not change.
 
-`inline` pins the affinity mask to one CPU, so every cell runs in this
-process; `workers` widens it to two, so any grid of two or more cells runs in
+`inline` pins the affinity mask to one CPU, so every row runs in this
+process; `workers` widens it to two, so any grid of two or more rows runs in
 forked pool workers, on any machine.
 """
 
@@ -106,8 +106,26 @@ def test_grid_across_the_transition(monkeypatch, tmp_path):
     assert pooled_text == inline_text
     rows = rows_of(pooled_text)
     assert len(rows) == 16
-    empty = [(t1, t2, edge) for t1, t2, w, edge, _ in rows if w == ""]
+    empty = [(t1, t2, edge) for t1, t2, w, edge, _, _ in rows if w == ""]
     assert empty == [("1.5", "1.5", ""), ("1.6", "1.6", "")]
+
+
+def test_linked_grid_bytes_do_not_depend_on_the_workers(monkeypatch, tmp_path):
+    # Four rows, each crossing |t1| = |t2| once or twice, so every row has
+    # runs of linked cells; t1 = 0.8 = t2 is a cell with no gap.
+    path = ssh_family(tmp_path, (0.4, 1.6), (0.2, 2.0))
+    out = tmp_path / "pd.csv"
+
+    def run():
+        assert cli.main(["phase-diagram", str(path), "--grid", "4x7", "--out", str(out)]) == 0
+        return out.read_text()
+
+    inline_text, pooled_text = both_ways(monkeypatch, run)
+    assert pooled_text == inline_text
+    rows = rows_of(pooled_text)
+    assert len(rows) == 28
+    assert [row[5] for row in rows].count("linked") == 16
+    assert [row[5] for row in rows].count("") == 1
 
 
 def test_zero_cell_grid_exits_0(workers, tmp_path):
@@ -119,16 +137,17 @@ def test_zero_cell_grid_exits_0(workers, tmp_path):
 
 def test_refused_cell_stays_empty_in_a_worker(monkeypatch, tmp_path):
     # t2 = 1 decays as 0.9^n and takes the sparse path, whose band solve is
-    # broken here; t2 = 2 decays as 0.45^n and stays dense.
+    # broken here; t2 = 2 decays as 0.45^n and stays dense.  Two equal rows,
+    # so that the pool has two tasks.
     path = ssh_family(tmp_path, (0.9, 0.9), (1.0, 2.0))
     monkeypatch.setattr(scipy.linalg.lapack, "zgbtrs", nan_band_solve)
 
     def run():
         out = tmp_path / "pd.csv"
-        assert cli.main(["phase-diagram", str(path), "--grid", "1x2", "--out", str(out)]) == 0
-        return [(w, edge) for _, _, w, edge, _ in rows_of(out.read_text())]
+        assert cli.main(["phase-diagram", str(path), "--grid", "2x2", "--out", str(out)]) == 0
+        return [(w, edge) for _, _, w, edge, _, _ in rows_of(out.read_text())]
 
-    assert both_ways(monkeypatch, run) == [[("1", ""), ("1", "1")]] * 2
+    assert both_ways(monkeypatch, run) == [[("1", ""), ("1", "1")] * 2] * 2
 
 
 @pytest.mark.parametrize(
