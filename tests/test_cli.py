@@ -316,8 +316,9 @@ class TestLinkedRows:
                 beta_a, beta_b = (gaps[j].certificate_margin / 2 for j in (i - 1, i))
                 if (i - 1, i) in linked:
                     assert abs(t2s[i] - t2s[i - 1]) < (beta_a + beta_b) / 2
-            # t1 = 1 steps from gap 0.25 to 1 and t1 = 1.75 from 0.25 to 1
-            # and across the transition: D >= (beta_a + beta_b) / 2 each time.
+            # Left unlinked: the steps from gap 0.25 to gap 1 (t1 = 1 and 1.75),
+            # where D = 0.75 lies between (beta_a + beta_b) / 2 and beta_a + beta_b,
+            # and the step across the transition (t1 = 1.75).
             assert runs == want
         rows = phase_rows(capsys, tmp_path, (0.25, 1.75), (1.25, 2.75), "3x3")
         assert [(w, edge) for _, _, w, edge, _, _ in rows] == [("1", "1")] * 6 + [("0", "0"), ("1", "1"), ("1", "1")]
