@@ -4,23 +4,20 @@ Every JSON/CSV output embeds the tool version, a hash of the input model, the
 seed, and the tolerances in force.  Floats are rounded to 12 significant
 digits so repeated runs are byte-identical at the same BLAS build and thread
 count; printed numerical zeros such as singular_values_near_zero change digits
-with OPENBLAS_NUM_THREADS.  phase-diagram certifies every grid cell's gap,
-runs the winding and edge routes once per run of neighbouring cells that a
-certified gapped segment links (the other members inherit the integers), and
-spreads its grid rows over the CPUs of the process's affinity mask, one row
-per task.  Links stay inside a row and the rows are written in grid order, so
-its output does not depend on how many CPUs there are.
+with OPENBLAS_NUM_THREADS.  phase-diagram runs its grid rows in grid order,
+in the calling process.  Each row's gaps are certified as one stack of h_pm
+loops, and the winding and edge routes run once per run of neighbouring
+cells that a certified gapped segment links (the other members inherit the
+integers).
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import hashlib
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -37,7 +34,7 @@ from .errors import (
     ShapeMismatch,
     UnbalancedGrading,
 )
-from .fixtures import FAMILIES, FIXTURE_NAMES, fixture
+from .fixtures import FAMILIES, FIXTURE_NAMES, family_h_pm, fixture
 from .halfspace import edge_modes_companion, edge_modes_truncated, in_gap_scan, in_gap_window
 from .loops import full_deformation
 from .models import (
@@ -53,7 +50,7 @@ from .models import (
     unit_circle,
 )
 # chiral_gap_margin is unused here but stays importable: perfbench/spans.py wraps it.
-from .spectrum import band_structure, certified_gap, chiral_gap, chiral_gap_margin, detect_gap
+from .spectrum import band_structure, certified_gap, chiral_gap_margin, chiral_gaps, detect_gap
 from .verify import (
     EnsembleSpec,
     case_to_dict,
@@ -189,20 +186,13 @@ def _parse_ensemble(text: str, default_seed: int) -> EnsembleSpec:
     for req in ("dim_v", "range", "count"):
         if req not in fields:
             raise ParseError(f"ensemble spec needs {req}=...")
-    if fields["dim_v"] < 2 or fields["dim_v"] % 2:
-        raise ParseError(f"ensemble dim_v must be even and positive, got {fields['dim_v']}")
-    if fields["count"] < 0 or fields["range"] < 1 or fields["seed"] < 0:
-        raise ParseError("ensemble needs count >= 0, range >= 1 and seed >= 0")
-    # The draws' norms square the scale: it must neither overflow nor vanish.
-    if not (fields["scale"] > 0 and 0 < fields["scale"] * fields["scale"] < math.inf) or fields["gap_floor"] < 0:
-        raise ParseError(
-            f"ensemble needs a positive scale whose square is a finite nonzero float and gap_floor >= 0, "
-            f"got scale={fields['scale']!r}, gap_floor={fields['gap_floor']!r}"
+    try:
+        return EnsembleSpec(
+            seed=fields["seed"], count=fields["count"], dim_v=fields["dim_v"], hop_range=fields["range"],
+            coefficient_scale=fields["scale"], gap_floor=fields["gap_floor"],
         )
-    return EnsembleSpec(
-        seed=fields["seed"], count=fields["count"], dim_v=fields["dim_v"], hop_range=fields["range"],
-        coefficient_scale=fields["scale"], gap_floor=fields["gap_floor"],
-    )
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 # --- subcommands -------------------------------------------------------------
@@ -422,38 +412,19 @@ def _cmd_verify(args, tol) -> int:
     return 0 if entry["passed"] else 1
 
 
-def _phase_routes(cm: ChiralModel, gap, cells, tol) -> tuple:
-    """(winding, edge_index) of one gapped cell by its own two routes; "" where a route refuses."""
-    try:
-        winding = full_winding(cm, tol=tol).winding
-    except ChiralEdgeError:
-        winding = ""
-    try:
-        # Auto cells refuse (empty field) when the decay is too
-        # slow to resolve the kernel, rather than undercounting.
-        edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gap).edge_index
-    except ChiralEdgeError:
-        edge = ""
-    return winding, edge
+def _linked_runs(coeffs: np.ndarray, gaps) -> list:
+    """Maximal runs of neighbouring gapped cells of a row's h_pm stack (N, P, q, q), as lists of indices.
 
-
-def _linked_runs(symbols, gaps) -> list:
-    """Maximal runs of neighbouring gapped cells, as lists of indices.
-
-    Neighbours a and b link when their h_pm loops have the same shape and
-    Laurent powers and D = sum_j ||c_j^b - c_j^a||_2 < (beta_a + beta_b) / 2,
-    where beta = certificate_margin / 2 is chiral_gap's lower bound on the inf
+    Neighbours a and b link when D = sum_j ||c_j^b - c_j^a||_2 < (beta_a + beta_b) / 2,
+    where beta = certificate_margin / 2 is chiral_gaps' lower bound on the inf
     of sigma_min over the circle.  D bounds ||h_b - h_a|| on the whole circle
     without sampling, so by Weyl's inequality every h_s = (1 - s) h_a + s h_b
     has sigma_min >= max(beta_a - s D, beta_b - (1 - s) D) >= (beta_a + beta_b - D) / 2
     > 0: the segment stays gapped and both cells share their winding and edge
     index.  The factor 1/2 leaves room for rounding.  A cell without a gap is
-    in no run, and a row whose loops differ in shape or powers links nothing.
+    in no run.
     """
-    if len(symbols) > 1 and len({(s.lowest_power, s.coeffs.shape) for s in symbols}) == 1:
-        steps = np.linalg.norm(np.diff([s.coeffs for s in symbols], axis=0), 2, axis=(2, 3)).sum(axis=1)
-    else:
-        steps = np.full(max(len(symbols) - 1, 0), np.inf)
+    steps = np.linalg.norm(np.diff(coeffs, axis=0), 2, axis=(2, 3)).sum(axis=1)
     margins = [gap.certificate_margin for gap in gaps]
     runs = []
     for i, gap in enumerate(gaps):
@@ -466,62 +437,44 @@ def _linked_runs(symbols, gaps) -> list:
     return runs
 
 
-def _phase_row(family: str, name1: str, name2: str, cells, tol, points) -> list:
-    """The phase-diagram rows [p1, p2, winding, edge_index, gap_margin, decided] of one grid row.
+def _phase_row(family: str, name1: str, name2: str, cells, tol, v1, axis2) -> list:
+    """The phase-diagram rows [p1, p2, winding, edge_index, gap_margin, decided] of the grid row p1 = v1.
 
-    Every cell is built and certified by chiral_gap; a cell whose zero-energy
-    gap does not certify gets empty fields, and gap_margin is the sampled
-    sigma_min of the last grid either way.  In each run of linked cells
-    (_linked_runs) only the best-gapped cell runs both routes, and when they
-    agree every other member takes its integers (decided "linked").  When the
-    representative's routes refuse or disagree, every member decides by its
-    own routes (decided "routes"): a refusal is never inherited.
+    The row's h_pm loops are one stack (fixtures.family_h_pm), certified by
+    chiral_gaps; a cell whose gap does not certify gets empty fields, and
+    gap_margin is the sampled sigma_min of the last grid either way.  In each
+    run of linked cells (_linked_runs) only the best-gapped cell is built as
+    a model and runs both routes; when they agree every other member takes
+    its integers (decided "linked").  When the representative's routes refuse
+    or disagree, every member runs its own (decided "routes"): a refusal is
+    never inherited.
     """
-    cms = [FAMILIES[family][0](**{name1: float(v1), name2: float(v2)}) for v1, v2 in points]
-    gaps = [chiral_gap(cm) for cm in cms]
-    rows = [[v1, v2, "", "", gap.e_plus, ""] for (v1, v2), gap in zip(points, gaps)]
-    for run in _linked_runs([cm.symbol("pm") for cm in cms], gaps):
+    h_pm = family_h_pm(family, **{name1: np.full(len(axis2), v1), name2: axis2})
+    gaps = chiral_gaps(h_pm)
+    rows = [[v1, v2, "", "", gap.e_plus, ""] for v2, gap in zip(axis2, gaps)]
+
+    def routes(i):
+        """(winding, edge_index) of cell i by its own two routes; "" where a route refuses."""
+        cm = FAMILIES[family][0](**{name1: float(v1), name2: float(axis2[i])})
+        try:
+            winding = full_winding(cm, tol=tol).winding
+        except ChiralEdgeError:
+            winding = ""
+        try:
+            # Auto cells refuse (empty field) when the decay is too slow to resolve the kernel.
+            edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gaps[i]).edge_index
+        except ChiralEdgeError:
+            edge = ""
+        return winding, edge
+
+    for run in _linked_runs(h_pm.coeffs, gaps):
         best = max(run, key=lambda i: gaps[i].certificate_margin)
-        answer = _phase_routes(cms[best], gaps[best], cells, tol)
+        answer = routes(best)
         inherit = answer[0] != "" and answer[0] == answer[1]
         for i in run:
-            if i == best or inherit:
-                rows[i][2:4] = answer
-                rows[i][5] = "routes" if i == best else "linked"
-            else:
-                rows[i][2:4] = _phase_routes(cms[i], gaps[i], cells, tol)
-                rows[i][5] = "routes"
+            rows[i][2:4] = answer if i == best or inherit else routes(i)
+            rows[i][5] = "linked" if i != best and inherit else "routes"
     return rows
-
-
-def _map_in_order(func, items) -> list:
-    """[func(x) for x in items], spread over the CPUs of the affinity mask.
-
-    Each call gets its own pool, one worker per CPU the process may run on
-    and at most one per item, and joins it before returning.  Workers are
-    forked, not spawned: a spawned worker imports numpy and scipy again,
-    0.4-1 s on a 2-vCPU VM, more than two 71-cell ssh rows take.  Fewer than
-    two workers (one item, one CPU, or a caller that is itself a daemonic
-    worker and may not fork) run inline.  Pool.map's default chunks, about
-    four per worker, even out the slow items.  Results come back in
-    item order, so they do not depend on the worker count; an exception
-    raised in a worker is raised again here.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(items))
-    if workers >= 2:
-        import multiprocessing
-
-        if multiprocessing.current_process().daemon:
-            workers = 1
-    if workers < 2:
-        return [func(x) for x in items]
-    pool = multiprocessing.get_context("fork").Pool(workers)
-    try:
-        return pool.map(func, items)
-    finally:
-        pool.terminate()
-        pool.join()
 
 
 def _cmd_phase_diagram(args, tol) -> int:
@@ -551,14 +504,16 @@ def _cmd_phase_diagram(args, tol) -> int:
 
     name1, lo1, hi1 = axis(doc["param1"], "param1")
     name2, lo2, hi2 = axis(doc["param2"], "param2")
+    if name1 == name2:
+        raise ParseError(f"param1 and param2 must name different parameters, got {name1!r} twice")
     n1_str, _, n2_str = args.grid.lower().partition("x")
     n1, n2 = (parse_number(n, f"--grid {args.grid!r} (like 64x64)", int) for n in (n1_str, n2_str))
     if n1 < 0 or n2 < 0:
         raise ParseError(f"--grid sizes must not be negative, got {args.grid!r}")
 
-    grid_rows = [[(v1, v2) for v2 in np.linspace(lo2, hi2, n2)] for v1 in np.linspace(lo1, hi1, n1)]
-    row = functools.partial(_phase_row, doc["family"], name1, name2, args.cells, tol)
-    rows = [cell for cells in _map_in_order(row, grid_rows) for cell in cells]
+    axis2 = np.linspace(lo2, hi2, n2)
+    grid = [_phase_row(doc["family"], name1, name2, args.cells, tol, v1, axis2) for v1 in np.linspace(lo1, hi1, n1)]
+    rows = [cell for row in grid for cell in row]
     meta = _meta(raw, args.seed, tol, {"grid": args.grid, "cells": args.cells, "family": doc["family"]})
     _emit_csv([name1, name2, "winding", "edge_index", "gap_margin", "decided"], rows, meta, args.out)
     return 0

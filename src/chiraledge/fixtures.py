@@ -7,14 +7,29 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ParseError
-from .models import ChiralModel, build_model, chiral_split, parse_fields, parse_number
+from .models import ChiralModel, MatrixLoop, build_model, chiral_split, parse_fields, parse_number
 
 _GRADING = np.array([1, -1])
 
 
 def _two_band(on_site, hop) -> ChiralModel:
-    model = build_model(2, 1, np.asarray(on_site, dtype=complex), [np.asarray(hop, dtype=complex)])
-    return chiral_split(model, _GRADING)
+    return chiral_split(build_model(2, 1, on_site, [hop]), _GRADING)
+
+
+def _ssh_planes(t1, t2):
+    """On-site and hop matrices (..., 2, 2) of the alternating-bond chain over parameters of one shape."""
+    on_site = np.zeros(np.shape(t1) + (2, 2), dtype=complex)
+    hop = np.zeros_like(on_site)
+    on_site[..., 0, 1] = on_site[..., 1, 0] = t1
+    hop[..., 1, 0] = t2
+    return on_site, hop
+
+
+def _defective_planes(theta, scale):
+    """On-site and hop matrices (..., 2, 2) of the defective family over parameters of one shape."""
+    on_site = np.asarray(scale)[..., None, None] * np.array([[0, 1], [1, 0]], dtype=complex)
+    hop = (scale * np.exp(1j * theta))[..., None, None] * np.array([[0, 0.25], [1, 0]], dtype=complex)
+    return on_site, hop
 
 
 def dimerized_plus() -> ChiralModel:
@@ -34,7 +49,7 @@ def dimerized_trivial() -> ChiralModel:
 
 def ssh(t1: float = 1.0, t2: float = 2.0) -> ChiralModel:
     """Alternating-bond chain: winding 1 iff |t2| > |t1|."""
-    return _two_band([[0, t1], [t1, 0]], [[0, 0], [t2, 0]])
+    return _two_band(*_ssh_planes(t1, t2))
 
 
 def defective(theta: float = 0.0, scale: float = 1.0) -> ChiralModel:
@@ -44,9 +59,7 @@ def defective(theta: float = 0.0, scale: float = 1.0) -> ChiralModel:
     winding is +1 for every theta, with a single edge state that is not a
     combination of exponentials.
     """
-    on_site = scale * np.array([[0, 1], [1, 0]], dtype=complex)
-    hop = scale * np.exp(1j * theta) * np.array([[0, 0.25], [1, 0]], dtype=complex)
-    return _two_band(on_site, hop)
+    return _two_band(*_defective_planes(theta, scale))
 
 
 _BUILDERS = {
@@ -75,3 +88,15 @@ def fixture(spec: str) -> ChiralModel:
 # Two-parameter families for the phase-diagram sweep: the fixtures with parameters.
 FAMILIES = {name: entry for name, entry in _BUILDERS.items() if entry[1]}
 FAMILIES.update({alias: FAMILIES[name] for alias, name in _ALIASES.items()})
+_PLANES = {"ssh": _ssh_planes, "defective": _defective_planes}
+
+
+def family_h_pm(family: str, **params) -> MatrixLoop:
+    """h_pm of a family over arrays of its parameters: one MatrixLoop with a leading stack axis.
+
+    Loop i is the fixture's symbol("pm") at cell i, bit for bit but for the sign of a zero where a
+    product underflows: powers -1, 0 and 1 hold conj(hop[0, 1]), on_site[1, 0] and hop[1, 0].  The
+    formulas are self-adjoint and chiral for real parameters, so no build check is needed.
+    """
+    on_site, hop = _PLANES[_ALIASES.get(family, family)](**params)
+    return MatrixLoop(-1, np.stack([hop[..., 0, 1].conj(), on_site[..., 1, 0], hop[..., 1, 0]], -1)[..., None, None])

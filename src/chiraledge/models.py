@@ -72,48 +72,55 @@ def numerically_singular(m: np.ndarray, tol: Tolerances) -> bool:
     return bool(sv[-1] == 0 or sv[0] / sv[-1] > tol.singular_cond)
 
 
-def least_singular_value(blocks: np.ndarray, cutoff: float = np.inf) -> float:
-    """min(cutoff, least singular value of a (K, n, n) stack), bit for bit.
+def least_singular_value(blocks: np.ndarray, cutoff: float = np.inf):
+    """min(cutoff, least singular value of a (K, n, n) stack), bit for bit; an (N,) array for (N, K, n, n).
 
-    lower = 1/||M^-1||_F from one batched inverse satisfies
-    lower <= sigma_min <= sqrt(n) lower.  The block of smallest lower is
-    decomposed first, and c = min(cutoff, its sigma_min); a block whose lower
-    exceeds c (1 + 1e-6) cannot hold a smaller value and is dropped before
-    one SVD of the rest.  The slack covers the bound's rounding, at most
-    n kappa eps, for kappa below 1e9.  An exactly singular block makes the
-    inverse fail, and then every block is decomposed; so is every block whose
-    ||M^-1||_F is below 1e-150, where its squared entries may underflow, or
-    above 1e150, where a 2 x 2 block's ||M||_F or determinant may have gone
-    subnormal.  Small blocks take no inverse.  For 1 x 1 blocks ||M^-1||_F
-    is 1/|h|.  For 2 x 2 blocks [[a, b], [c, d]] it is ||M||_F / |ad - bc|;
-    the computed ad - bc carries a relative error of about
-    eps (|ad| + |bc|) / |ad - bc| <= eps ||M||_F^2 / (sigma_1 sigma_2) <= 2 eps kappa,
+    Each of N stacks is decided as if alone.  lower = 1/||M^-1||_F from one
+    batched inverse per stack satisfies lower <= sigma_min <= sqrt(n) lower.
+    A stack's block of smallest lower is decomposed first, and
+    c = min(cutoff, its sigma_min); a block whose lower exceeds c (1 + 1e-6)
+    cannot hold a smaller value and is dropped before one SVD of every
+    stack's rest.  The slack covers the bound's rounding, at most
+    n kappa eps, for kappa below 1e9.  An exactly singular block makes its
+    stack's inverse fail, and then every block of that stack is decomposed;
+    so is every block whose ||M^-1||_F is below 1e-150, where its squared
+    entries may underflow, or above 1e150, where a 2 x 2 block's ||M||_F or
+    determinant may have gone subnormal.  Small blocks take no inverse.  For
+    1 x 1 blocks ||M^-1||_F is 1/|h|.  For 2 x 2 blocks [[a, b], [c, d]] it
+    is ||M||_F / |ad - bc|; the computed ad - bc carries a relative error of
+    about eps (|ad| + |bc|) / |ad - bc| <= eps ||M||_F^2 / (sigma_1 sigma_2) <= 2 eps kappa,
     which the 1e-6 slack covers for kappa below 1e9.  A zero entry or zero
-    determinant decomposes every block, as a failed inverse does.
+    determinant decomposes its whole stack, as a failed inverse does.
     """
-    if blocks.shape[1] == 1:
-        mags = np.abs(blocks[:, 0, 0])
-        inv_norm = 1.0 / mags if mags.all() else None
-    elif blocks.shape[1] == 2:
-        # An overflowed determinant reads inf or NaN, and the block is kept below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            dets = np.abs(blocks[:, 0, 0] * blocks[:, 1, 1] - blocks[:, 0, 1] * blocks[:, 1, 0])
-            inv_norm = np.linalg.norm(blocks, axis=(1, 2)) / dets if dets.all() else None
-    else:
-        try:
-            inv_norm = np.linalg.norm(np.linalg.inv(blocks), axis=(1, 2))
-        except np.linalg.LinAlgError:
-            inv_norm = None
-    if inv_norm is None:
-        return min(cutoff, float(np.linalg.svd(blocks, compute_uv=False)[:, -1].min()))
-    anchor = int(np.argmax(inv_norm))
-    c = min(cutoff, float(np.linalg.svd(blocks[anchor : anchor + 1], compute_uv=False)[0, -1]))
+    stacks = blocks if blocks.ndim == 4 else blocks[None]
+    n = stacks.shape[-1]
+    if n > 2:
+        inv_norm, whole = np.ones(stacks.shape[:2]), np.zeros(len(stacks), dtype=bool)
+        for i, stack in enumerate(stacks):
+            try:
+                inv_norm[i] = np.linalg.norm(np.linalg.inv(stack), axis=(1, 2))
+            except np.linalg.LinAlgError:
+                whole[i] = True
+    # An exact zero reads inf and an overflowed determinant inf or NaN; both are caught below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        if n == 1:
+            mags = np.abs(stacks[..., 0, 0])
+            inv_norm, whole = 1.0 / mags, ~mags.all(axis=1)
+        elif n == 2:
+            dets = np.abs(stacks[..., 0, 0] * stacks[..., 1, 1] - stacks[..., 0, 1] * stacks[..., 1, 0])
+            inv_norm, whole = np.linalg.norm(stacks, axis=(-2, -1)) / dets, ~dets.all(axis=1)
+    rows = np.flatnonzero(~whole)
+    anchor = np.argmax(inv_norm[rows], axis=1)
+    c = np.full(len(stacks), float(cutoff))
+    if rows.size:
+        c[rows] = np.minimum(cutoff, np.linalg.svd(stacks[rows, anchor], compute_uv=False)[:, -1])
     # Drop where lower = 1/inv_norm > c (1 + 1e-6); NaN bounds stay kept.
-    kept = ~(inv_norm * (c * (1 + 1e-6)) < 1.0) | (inv_norm < 1e-150) | (inv_norm > 1e150)
-    kept[anchor] = False
-    if not kept.any():
-        return c
-    return min(c, float(np.linalg.svd(blocks[kept], compute_uv=False)[:, -1].min()))
+    kept = ~(inv_norm * (c * (1 + 1e-6))[:, None] < 1.0) | (inv_norm < 1e-150) | (inv_norm > 1e150)
+    kept[rows, anchor] = False
+    kept[whole] = True
+    if kept.any():
+        np.minimum.at(c, np.nonzero(kept)[0], np.linalg.svd(stacks[kept], compute_uv=False)[:, -1])
+    return c if blocks.ndim == 4 else float(c[0])
 
 
 def largest_singular_value(blocks: np.ndarray) -> float:
@@ -138,27 +145,32 @@ def largest_singular_value(blocks: np.ndarray) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MatrixLoop:
-    """Laurent loop h(lambda) = sum_j coeffs[j - lowest_power] lambda^j."""
+    """Laurent loop h(lambda) = sum_j coeffs[j - lowest_power] lambda^j.
+
+    coeffs (N, P, rows, cols) stacks N loops; eval_many and lipschitz_bound then answer per loop.
+    """
 
     lowest_power: int
-    coeffs: np.ndarray  # (P, rows, cols)
+    coeffs: np.ndarray  # (P, rows, cols) or (N, P, rows, cols)
 
     @property
     def size(self) -> int:
-        return self.coeffs.shape[1]
+        return self.coeffs.shape[-2]
 
     @property
     def highest_power(self) -> int:
-        return self.lowest_power + self.coeffs.shape[0] - 1
+        return self.lowest_power + self.coeffs.shape[-3] - 1
 
     def eval_many(self, lams) -> np.ndarray:
-        """Stacked h(lambda) over an array of momenta; shape lams.shape + (rows, cols)."""
+        """h(lambda) over an array of momenta; shape lams.shape + (rows, cols), after the stack axis if any."""
         lams = np.asarray(lams, dtype=complex)
         powers = np.arange(self.lowest_power, self.highest_power + 1)
         if self.lowest_power < 0 and np.any(lams == 0):
             raise ZeroMomentum("exponentiated momentum must be nonzero")
         weights = lams[..., None] ** powers
-        return (weights @ self.coeffs.reshape(len(powers), -1)).reshape(lams.shape + self.coeffs.shape[1:])
+        *stack, rows, cols = self.coeffs.shape
+        values = weights @ self.coeffs.reshape(stack[:-1] + [len(powers), rows * cols])
+        return values.reshape(stack[:-1] + list(lams.shape) + [rows, cols])
 
     def __call__(self, lam: complex) -> np.ndarray:
         return self.eval_many(np.array([lam]))[0]
@@ -166,11 +178,12 @@ class MatrixLoop:
     def det_fn(self):
         return lambda lams: np.linalg.det(self.eval_many(lams))
 
-    def lipschitz_bound(self) -> float:
-        """Upper bound on ||dh(e^{ik})/dk||: the sum of |j| ||c_j|| over the coefficients."""
+    def lipschitz_bound(self):
+        """Upper bound on ||dh(e^{ik})/dk||: the sum of |j| ||c_j|| over the coefficients, per loop of a stack."""
         powers = range(self.lowest_power, self.highest_power + 1)
-        norms = np.linalg.norm(self.coeffs, 2, axis=(1, 2))
-        return float(sum(abs(p) * n for p, n in zip(powers, norms) if p))
+        norms = np.linalg.norm(self.coeffs, 2, axis=(-2, -1))
+        total = sum((abs(p) * norms[..., j] for j, p in enumerate(powers) if p), np.zeros(norms.shape[:-1]))
+        return float(total) if self.coeffs.ndim == 3 else total
 
     def norm_bound(self) -> float:
         """Upper bound on the sup of ||h(lambda)||_2 over |lambda| = 1, hence on every finite section's norm.
@@ -181,17 +194,6 @@ class MatrixLoop:
         """
         sampled = largest_singular_value(self.eval_many(unit_circle(NUM_K_DEFAULT)))
         return sampled + self.lipschitz_bound() * np.pi / NUM_K_DEFAULT
-
-    def min_singular_bound(self, num_k: int) -> tuple[float, float]:
-        """(sampled, bound): the mirror of norm_bound for the inf of sigma_min(h(lambda)) over |lambda| = 1.
-
-        sampled is sigma_min's minimum on the uniform num_k grid and bound is
-        sampled - lipschitz_bound() * pi / num_k, a lower bound on that inf:
-        by Weyl's inequality sigma_min moves no faster in k than h itself, and
-        every point of the circle lies within half a grid step of a sample.
-        """
-        sampled = least_singular_value(self.eval_many(unit_circle(num_k)))
-        return sampled, sampled - self.lipschitz_bound() * np.pi / num_k
 
     def adjoint(self) -> "MatrixLoop":
         """The loop lambda -> h(1/conj(lambda))*, equal to h(lambda)* on the unit circle."""

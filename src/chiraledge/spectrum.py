@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import NUM_K_CAP, NUM_K_DEFAULT
 from .errors import GapNotCertified, NotSelfAdjoint
-from .models import ChiralModel, ModelParams, least_singular_value, momenta, unit_circle
+from .models import ChiralModel, MatrixLoop, ModelParams, least_singular_value, momenta, unit_circle
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,25 +96,37 @@ def certified_gap(model: ModelParams, around_energy: float | None = None) -> Gap
 
 
 def chiral_gap(cm: ChiralModel) -> GapReport:
-    """The zero-energy gap of a balanced chiral model, certified from h_pm alone.
+    """The zero-energy gap of a balanced chiral model, certified from h_pm alone: chiral_gaps of a stack of one."""
+    h_pm = cm.symbol("pm")
+    return chiral_gaps(MatrixLoop(h_pm.lowest_power, h_pm.coeffs[None]))[0]
+
+
+def chiral_gaps(h_pm: MatrixLoop) -> list:
+    """The certified zero-energy gap of each loop of a stack of h_pm blocks (coeffs (N, P, q, q)).
 
     H(e^{ik}) has the spectrum +-sigma(h_pm(e^{ik})), so the gap around 0 is
-    (-sigma_min, sigma_min) and h_pm's MatrixLoop.min_singular_bound
-    certifies it; h_pm's Lipschitz constant never exceeds H's.  The k grid
-    doubles from NUM_K_DEFAULT up to NUM_K_CAP until the bound is positive.
-    e_minus and e_plus are -+ the sampled sigma_min of the last grid and
-    certificate_margin is twice the bound, so gapped is False when it is not
-    positive, as in detect_gap.  Refinement stops early when the sampled
-    sigma_min is at most lipschitz * pi / NUM_K_CAP: a finer grid holds these
-    samples, so its bound cannot be positive.
+    (-sigma_min, sigma_min).  By Weyl's inequality its inf over the circle is
+    at least sampled, the least sigma_min on the uniform num_k grid, less
+    lipschitz * pi / num_k.  The grid doubles from NUM_K_DEFAULT up to
+    NUM_K_CAP for the loops not yet certified, and stops once
+    sampled <= lipschitz * pi / NUM_K_CAP, which no finer grid certifies.
+    e_minus, e_plus = -+ sampled of the last grid and certificate_margin is
+    twice the bound, as in detect_gap.  Each report is bit for bit the one
+    its loop gets in a stack of its own.
     """
-    h_pm = cm.symbol("pm")
+    lipschitz = h_pm.lipschitz_bound()
+    reports = [None] * len(h_pm.coeffs)
+    active = np.arange(len(h_pm.coeffs))
     n = NUM_K_DEFAULT
-    while True:
-        sampled, bound = h_pm.min_singular_bound(n)
-        if bound > 0 or n >= NUM_K_CAP or sampled <= h_pm.lipschitz_bound() * np.pi / NUM_K_CAP:
-            return GapReport(bound > 0, cm.dim_plus - 1, -sampled, sampled, 2.0 * bound)
+    while active.size:
+        sampled = least_singular_value(MatrixLoop(h_pm.lowest_power, h_pm.coeffs[active]).eval_many(unit_circle(n)))
+        bound = sampled - lipschitz[active] * np.pi / n
+        done = (bound > 0) | (n >= NUM_K_CAP) | (sampled <= lipschitz[active] * np.pi / NUM_K_CAP)
+        for i, s, b in zip(active[done], sampled[done].tolist(), bound[done].tolist()):
+            reports[i] = GapReport(b > 0, h_pm.size - 1, -s, s, 2.0 * b)
+        active = active[~done]
         n *= 2
+    return reports
 
 
 def chiral_gap_margin(cm: ChiralModel) -> float:

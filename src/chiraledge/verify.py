@@ -203,12 +203,22 @@ def verify_gap_exclusion(cm: ChiralModel, tol: Tolerances = DEFAULT_TOL) -> Veri
 
 @dataclass(frozen=True)
 class EnsembleSpec:
+    """The draws of random_chiral_ensemble; a field out of range raises ValueError."""
+
     seed: int
     count: int
     dim_v: int
     hop_range: int
     coefficient_scale: float = 1.0
     gap_floor: float = 0.05
+
+    def __post_init__(self):
+        # The draws' norms square the scale: it must neither overflow nor vanish.
+        scale = self.coefficient_scale
+        if (self.dim_v % 2 or self.dim_v < 2 or self.count < 0 or self.hop_range < 1 or self.seed < 0
+                or not (scale > 0 and 0 < scale * scale < math.inf) or not self.gap_floor >= 0):
+            raise ValueError("ensemble needs an even dim_v >= 2, count >= 0, hop_range >= 1, seed >= 0, gap_floor >= 0 "
+                             f"and a coefficient_scale > 0 with a finite nonzero square, got {self}")
 
 
 def random_chiral_ensemble(spec: EnsembleSpec, tol: Tolerances = DEFAULT_TOL) -> list:
@@ -220,10 +230,6 @@ def random_chiral_ensemble(spec: EnsembleSpec, tol: Tolerances = DEFAULT_TOL) ->
     the last column of its leading lower-left hop block zeroed to exercise
     the singular route.
     """
-    if spec.dim_v % 2 or spec.dim_v < 2:
-        raise ValueError("ensemble models need an even, positive dim_v")
-    if spec.count < 0 or spec.hop_range < 1:
-        raise ValueError("count must be >= 0 and hop_range >= 1")
     q = spec.dim_v // 2
     rng = np.random.default_rng(spec.seed)
     grading = np.array([1] * q + [-1] * q)

@@ -4,13 +4,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.linalg.lapack
 from hypothesis import assume, given, strategies as st
 
-from chiraledge import cli, verify
+from chiraledge import cli, fixtures, verify
 from chiraledge.cli import main
 from chiraledge.config import Tolerances
 from chiraledge.errors import NonConvergent
@@ -310,7 +311,7 @@ class TestLinkedRows:
         for t1, want in zip(t1s, expected_runs):
             cms = [ssh(t1, t2) for t2 in t2s]
             gaps = [chiral_gap(cm) for cm in cms]
-            runs = cli._linked_runs([cm.symbol("pm") for cm in cms], gaps)
+            runs = cli._linked_runs(np.stack([cm.symbol("pm").coeffs for cm in cms]), gaps)
             linked = {(i - 1, i) for run in runs for i in run[1:]}
             for i in (1, 2):
                 beta_a, beta_b = (gaps[j].certificate_margin / 2 for j in (i - 1, i))
@@ -337,7 +338,7 @@ class TestLinkedRows:
         lams = unit_circle(512)
         sampled = np.linalg.norm(h_b.eval_many(lams) - h_a.eval_many(lams), 2, axis=(1, 2)).max()
         assert sampled < threshold < 2.4
-        assert cli._linked_runs([cm.symbol("pm") for cm in cms], gaps) == [[0], [1]]
+        assert cli._linked_runs(np.stack([cm.symbol("pm").coeffs for cm in cms]), gaps) == [[0], [1]]
 
     @given(shape=st.sampled_from(CRITERION_4_SHAPES), seed=st.integers(0, 2**32 - 1), ratio=st.floats(0.05, 0.5))
     def test_linked_models_share_their_integers(self, shape, seed, ratio):
@@ -354,7 +355,7 @@ class TestLinkedRows:
         cm_b = model_from_loop(MatrixLoop(h_a.lowest_power, h_a.coeffs + e))
         gap_b = chiral_gap(cm_b)
         assert np.linalg.norm(e, 2, axis=(1, 2)).sum() < (gap_a.certificate_margin + gap_b.certificate_margin) / 4
-        assert cli._linked_runs([h_a, cm_b.symbol("pm")], [gap_a, gap_b]) == [[0, 1]]
+        assert cli._linked_runs(np.stack([h_a.coeffs, cm_b.symbol("pm").coeffs]), [gap_a, gap_b]) == [[0, 1]]
         integers = [
             (full_winding(cm).winding, edge_modes_truncated(cm, gap=gap).edge_index)
             for cm, gap in ((cm_a, gap_a), (cm_b, gap_b))
@@ -386,6 +387,60 @@ class TestLinkedRows:
         monkeypatch.setattr(scipy.linalg.lapack, "zgbtrs", nan_band_solve)
         rows = phase_rows(capsys, tmp_path, (0.9, 0.9), (1.0, 1.04), "1x3")
         assert [(row[2], row[3], row[5]) for row in rows] == [("1", "", "routes")] * 3
+
+
+# Family parameters: 0 or at least 1e-300 in magnitude.
+PARAMETERS = st.floats(-4, 4).filter(lambda x: x == 0 or abs(x) >= 1e-300)
+
+
+class TestRowWork:
+    def test_one_grid_evaluation_and_one_model_per_route_cell(self, capsys, monkeypatch, tmp_path):
+        # t1 = 0.5, t2 = 1.5 .. 3: eight gapped cells 0.21 apart whose margins
+        # are at least 2, so one run; the routes are stubbed, so every loop
+        # evaluation left is the gap certificate's.
+        evaluations, builds, routed = [], [], []
+        real_eval, real_build = MatrixLoop.eval_many, fixtures.build_model
+
+        def counted_eval(self, lams):
+            evaluations.append((self.coeffs.shape, np.shape(lams)))
+            return real_eval(self, lams)
+
+        def counted_build(*args, **kwargs):
+            builds.append(args)
+            return real_build(*args, **kwargs)
+
+        def winding(cm, **kwargs):
+            routed.append(cm.base.right_hops[0][1, 0])
+            return SimpleNamespace(winding=1)
+
+        monkeypatch.setattr(MatrixLoop, "eval_many", counted_eval)
+        monkeypatch.setattr(fixtures, "build_model", counted_build)
+        monkeypatch.setattr(cli, "full_winding", winding)
+        monkeypatch.setattr(cli, "edge_modes_truncated", lambda cm, **kwargs: SimpleNamespace(edge_index=1))
+        rows = phase_rows(capsys, tmp_path, (0.5, 0.5), (1.5, 3.0), "1x8")
+        assert [row[5] for row in rows] == ["linked"] * 7 + ["routes"]
+        assert evaluations == [((8, 3, 1, 1), (512,))]
+        assert len(builds) == len(routed) == 1 and routed == [3.0]
+
+    @given(
+        family=st.sampled_from(["ssh", "defective", "appendixB"]),
+        swap=st.booleans(),
+        values=st.lists(
+            st.tuples(*[st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, np.pi]), PARAMETERS)] * 2),
+            min_size=1, max_size=6,
+        ),
+    )
+    def test_row_stack_is_each_fixture_symbol(self, family, swap, values):
+        # Bit for bit, signed zeros included: the stack and the fixture read one formula.
+        # Parameters stay above 1e-300 in magnitude: where a product underflows to
+        # zero, numpy's vectorized complex multiply may give that zero the other sign.
+        builder, names = fixtures.FAMILIES[family]
+        names = names[::-1] if swap else names
+        a, b = (np.array(column) for column in zip(*values))
+        stack = fixtures.family_h_pm(family, **{names[0]: a, names[1]: b})
+        assert stack.lowest_power == -1 and stack.coeffs.shape == (len(values), 3, 1, 1)
+        for coeffs, (x, y) in zip(stack.coeffs, values):
+            assert coeffs.tobytes() == builder(**{names[0]: x, names[1]: y}).symbol("pm").coeffs.tobytes()
 
 
 class TestErrorsAndDeterminism:
@@ -491,6 +546,7 @@ class TestErrorsAndDeterminism:
             ["verify", "--ensemble", "dim_v=2,range=1,count=1,scale=1e300"],
             ["verify", "--ensemble", "dim_v=2,range=1,count=1,scale=1e-200"],
             ["verify", "--ensemble", "dim_v=2,range=1,count=1,gap_floor=-1"],
+            ["phase-diagram", "{family_name_twice}", "--grid", "2x2"],
         ],
         ids=["ensemble-not-a-number", "ensemble-no-value", "ensemble-odd-dim", "ensemble-range-0",
              "family-min-not-a-number", "grid-negative", "modes-steps-0", "spectrum-samples-4",
@@ -501,7 +557,7 @@ class TestErrorsAndDeterminism:
              "model-hop-nan", "modes-energy-nan", "modes-initial-nan", "modes-initial-nan-out", "window-nan",
              "modes-back-negative", "window-reversed", "window-empty", "ensemble-scale-negative",
              "ensemble-scale-0", "ensemble-scale-square-overflows", "ensemble-scale-square-underflows",
-             "ensemble-gap_floor-negative"],
+             "ensemble-gap_floor-negative", "family-name-twice"],
     )
     def test_malformed_input_exits_2(self, capsys, family_file, tmp_path, argv):
         family = json.loads(family_file.read_text())
@@ -519,6 +575,8 @@ class TestErrorsAndDeterminism:
             "model_grading_string": {**model, "grading": "ab"},
             "model_grading_object": {**model, "grading": {"a": 1}},
             "family_min_nan": {**family, "param1": {**family["param1"], "min": float("nan")}},
+            # Both axes on t1: the rows would label t1 with values the cells never used.
+            "family_name_twice": {**family, "param2": family["param1"]},
             "model_hop_nan": {**model, "right_hops": [[[[0.0, 0.0], [0.0, 0.0]], [[float("nan"), 0.0], [0.0, 0.0]]]]},
         }
         paths = {"family": family_file, "curve": tmp_path / "curve.csv"}

@@ -36,6 +36,7 @@ from chiraledge.models import (
     model_to_dict,
     parse_number,
     save_model,
+    unit_circle,
 )
 from chiraledge.spectrum import chiral_gap, chiral_gap_margin
 from chiraledge.verify import EnsembleSpec, has_singular_leading_hop, random_chiral_ensemble
@@ -498,10 +499,9 @@ def reference_norm_bound(loop: MatrixLoop) -> float:
     return float(sampled) + reference_lipschitz_bound(loop) * np.pi / NUM_K_DEFAULT
 
 
-def reference_min_singular_bound(loop: MatrixLoop, num_k: int) -> tuple:
+def reference_least_singular_value(loop: MatrixLoop, num_k: int) -> float:
     ks = -np.pi + 2.0 * np.pi * np.arange(num_k) / num_k
-    sampled = float(np.linalg.svd(loop.eval_many(np.exp(1j * ks)), compute_uv=False)[:, -1].min())
-    return sampled, sampled - reference_lipschitz_bound(loop) * np.pi / num_k
+    return float(np.linalg.svd(loop.eval_many(np.exp(1j * ks)), compute_uv=False)[:, -1].min())
 
 
 def reference_norm_scale(model: ModelParams) -> float:
@@ -519,7 +519,8 @@ class TestPrunedExtremesMatchFullSVD:
                 assert loop.lipschitz_bound() == reference_lipschitz_bound(loop)
                 assert loop.norm_bound() == reference_norm_bound(loop)
                 for num_k in (256, NUM_K_DEFAULT):
-                    assert loop.min_singular_bound(num_k) == reference_min_singular_bound(loop, num_k)
+                    sampled = least_singular_value(loop.eval_many(unit_circle(num_k)))
+                    assert sampled == reference_least_singular_value(loop, num_k)
             assert cm.base.norm_scale == reference_norm_scale(cm.base)
 
 

@@ -1,19 +1,26 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from chiraledge.config import NUM_K_DEFAULT
+from chiraledge.config import NUM_K_CAP, NUM_K_DEFAULT
 from chiraledge.errors import GapNotCertified, NotSelfAdjoint, UnbalancedGrading
 from chiraledge.fixtures import FIXTURE_NAMES, defective, dimerized_plus, dimerized_trivial, fixture, ssh
-from chiraledge.models import build_model, chiral_split
+from chiraledge.loops import model_from_loop
+from chiraledge.models import MatrixLoop, build_model, chiral_split
 from chiraledge.spectrum import (
+    GapReport,
     band_structure,
     certified_gap,
     chiral_gap,
     chiral_gap_margin,
+    chiral_gaps,
     detect_gap,
 )
 from chiraledge.verify import EnsembleSpec, random_chiral_ensemble
+
+from test_models import reference_least_singular_value, reference_lipschitz_bound
 
 
 class TestBandStructure:
@@ -155,10 +162,9 @@ class TestChiralGap:
 
     @given(cm=chiral_models())
     def test_bound_is_below_a_dense_minimum(self, cm):
-        h_pm = cm.symbol("pm")
-        _, bound = h_pm.min_singular_bound(64)
+        bound = chiral_gap(cm).certificate_margin / 2
         lams = np.exp(1j * np.linspace(-np.pi, np.pi, 8192))
-        dense = np.linalg.svd(h_pm.eval_many(lams), compute_uv=False)[:, -1].min()
+        dense = np.linalg.svd(cm.symbol("pm").eval_many(lams), compute_uv=False)[:, -1].min()
         assert bound <= dense * (1 + 1e-12) + 1e-15
 
     def test_refused_below_the_cap(self):
@@ -177,3 +183,85 @@ class TestChiralGap:
         gap = chiral_gap(ssh(1.0, 0.996))
         assert gap.gapped
         assert gap.certificate_margin == pytest.approx(2 * (0.004 - 0.996 * np.pi / 1024), rel=1e-9)
+
+
+def reference_chiral_gap(h: MatrixLoop) -> GapReport:
+    """The per-loop certification with the full SVD on each grid, doubled until it decides."""
+    lipschitz = reference_lipschitz_bound(h)
+    n = NUM_K_DEFAULT
+    while True:
+        sampled = reference_least_singular_value(h, n)
+        bound = sampled - lipschitz * np.pi / n
+        if bound > 0 or n >= NUM_K_CAP or sampled <= lipschitz * np.pi / NUM_K_CAP:
+            return GapReport(bound > 0, h.size - 1, -sampled, sampled, 2.0 * bound)
+        n *= 2
+
+
+def report_bits(report: GapReport) -> tuple:
+    return report.gapped, report.gap_index, *(float(x).hex() for x in astuple(report)[2:])
+
+
+# Kinds of cell in a stack of h_pm loops with P >= 2 powers: a random draw; an
+# exact zero sample (h(1) has a zero row, and lambda = 1 is a grid point); a
+# narrow gap, sigma_min = eps at lambda = 1, that needs finer grids or is
+# refused at the cap; and a critical loop t (I + lambda I), which vanishes at
+# lambda = -1 (the grid point k = -pi, up to its rounding).
+CELL_KINDS = ["random", "zero-sample", "narrow", "critical"]
+
+
+def stack_cell(kind: str, shape, rng) -> np.ndarray:
+    p, q, _ = shape
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if kind == "zero-sample":
+        v = rng.standard_normal(q) + 1j * rng.standard_normal(q)
+        c[:, 0, :] = 0
+        c[0, 0, :], c[1, 0, :] = v, -v
+    elif kind == "narrow":
+        c[:] = 0
+        c[0], c[1] = np.eye(q), -(1 - 10 ** rng.uniform(-4.5, -1.5)) * np.eye(q)
+    elif kind == "critical":
+        c[:] = 0
+        c[-2] = c[-1] = rng.uniform(0.1, 2) * np.eye(q)
+    return c
+
+
+def assert_stack_matches_each_loop(lowest_power: int, coeffs: np.ndarray):
+    stacked = chiral_gaps(MatrixLoop(lowest_power, coeffs))
+    assert len(stacked) == len(coeffs)
+    for report, c in zip(stacked, coeffs):
+        h = MatrixLoop(lowest_power, c)
+        assert report_bits(report) == report_bits(reference_chiral_gap(h))
+        cm = model_from_loop(h)
+        assert report_bits(chiral_gap(cm)) == report_bits(reference_chiral_gap(cm.symbol("pm")))
+
+
+class TestStackedChiralGap:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_every_kind_in_one_stack(self, q):
+        rng = np.random.default_rng(q)
+        coeffs = np.stack([stack_cell(kind, (3, q, q), rng) for kind in CELL_KINDS * 2])
+        assert_stack_matches_each_loop(-1, coeffs)
+        gaps = chiral_gaps(MatrixLoop(-1, coeffs))
+        # Zero samples and critical loops are refused; narrow gaps certify on finer grids or are refused.
+        assert [g.gapped for g in gaps[1::4]] == [False, False] and [g.gapped for g in gaps[3::4]] == [False, False]
+        assert gaps[1].e_plus < 1e-14
+
+    def test_ssh_row_with_a_critical_cell(self):
+        # h_pm = t1 + t2 lambda across a row t2 = 0.5 .. 1.5 through t1 = t2 = 1.
+        t2 = np.linspace(0.5, 1.5, 11)
+        coeffs = np.zeros((11, 3, 1, 1), dtype=complex)
+        coeffs[:, 1], coeffs[:, 2] = 1.0, t2[:, None, None]
+        assert_stack_matches_each_loop(-1, coeffs)
+        assert [g.gapped for g in chiral_gaps(MatrixLoop(-1, coeffs))] == [True] * 5 + [False] + [True] * 5
+
+    @given(
+        q=st.sampled_from([1, 2, 3]),
+        lowest_power=st.integers(-2, 0),
+        powers=st.integers(2, 4),
+        kinds=st.lists(st.sampled_from(CELL_KINDS), min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_each_loop_alone(self, q, lowest_power, powers, kinds, seed):
+        rng = np.random.default_rng(seed)
+        coeffs = np.stack([stack_cell(kind, (powers, q, q), rng) for kind in kinds])
+        assert_stack_matches_each_loop(lowest_power, coeffs)

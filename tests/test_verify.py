@@ -47,6 +47,21 @@ class TestEnsemble:
         with pytest.raises(ValueError):
             random_chiral_ensemble(EnsembleSpec(seed=0, count=1, dim_v=3, hop_range=1))
 
+    @pytest.mark.parametrize(
+        "scale,gap_floor",
+        [(float("nan"), 0.05), (0.0, 0.05), (-1.0, 0.05), (1e300, 0.05), (1e-200, 0.05), (1.0, -1.0),
+         (1.0, float("nan"))],
+        ids=["scale-nan", "scale-0", "scale-negative", "square-overflows", "square-underflows", "gap_floor-negative",
+             "gap_floor-nan"],
+    )
+    def test_rejects_a_bad_scale_or_gap_floor(self, scale, gap_floor):
+        # Before these checks NaN failed in an SVD, 0 spent 1000 redraws and a
+        # negative gap floor ran.
+        with pytest.raises(ValueError, match="coefficient_scale"):
+            random_chiral_ensemble(
+                EnsembleSpec(seed=0, count=1, dim_v=2, hop_range=1, coefficient_scale=scale, gap_floor=gap_floor)
+            )
+
 
 class TestVerifyBec:
     def test_dimerized_fixtures(self):
