@@ -4,10 +4,11 @@ Every JSON/CSV output embeds the tool version, a hash of the input model, the
 seed, and the tolerances in force.  Floats are rounded to 12 significant
 digits so repeated runs are byte-identical at the same BLAS build and thread
 count; printed numerical zeros such as singular_values_near_zero change digits
-with OPENBLAS_NUM_THREADS.  phase-diagram runs its grid rows in grid order,
-in the calling process.  Each row's gaps are certified as one stack of h_pm
-loops, and the winding and edge routes run once per run of neighbouring
-cells that a certified gapped segment links (the other members inherit the
+with OPENBLAS_NUM_THREADS.  phase-diagram runs in the calling process.  Each
+grid row's gaps are certified as one stack of h_pm loops.  Neighbouring cells
+of a row or a column link when a certified gapped segment joins them, directly
+or through one certified midpoint, and the winding and edge routes run once
+per linked component of the whole grid (the other members inherit the
 integers).
 """
 
@@ -39,6 +40,7 @@ from .halfspace import edge_modes_companion, edge_modes_truncated, in_gap_scan, 
 from .loops import full_deformation
 from .models import (
     ChiralModel,
+    MatrixLoop,
     chiral_split,
     detect_grading,
     least_singular_value,
@@ -412,69 +414,69 @@ def _cmd_verify(args, tol) -> int:
     return 0 if entry["passed"] else 1
 
 
-def _linked_runs(coeffs: np.ndarray, gaps) -> list:
-    """Maximal runs of neighbouring gapped cells of a row's h_pm stack (N, P, q, q), as lists of indices.
+def _distance(c_a: np.ndarray, c_b: np.ndarray) -> np.ndarray:
+    """D = sum_j ||c_j^b - c_j^a||_2 for each pair of two coefficient stacks (M, P, q, q)."""
+    return np.linalg.norm(c_b - c_a, 2, axis=(2, 3)).sum(axis=1)
 
-    Neighbours a and b link when D = sum_j ||c_j^b - c_j^a||_2 < (beta_a + beta_b) / 2,
-    where beta = certificate_margin / 2 is chiral_gaps' lower bound on the inf
-    of sigma_min over the circle.  D bounds ||h_b - h_a|| on the whole circle
-    without sampling, so by Weyl's inequality every h_s = (1 - s) h_a + s h_b
-    has sigma_min >= max(beta_a - s D, beta_b - (1 - s) D) >= (beta_a + beta_b - D) / 2
-    > 0: the segment stays gapped and both cells share their winding and edge
-    index.  The factor 1/2 leaves room for rounding.  A cell without a gap is
-    in no run.
+
+def _linked_components(stacks: list, gaps: list) -> list:
+    """The linked components of a grid's gapped cells, as ascending lists of flat indices r * N + i.
+
+    stacks[r] is grid row r's h_pm stack, a MatrixLoop with coeffs (N, P, q, q), and gaps holds
+    chiral_gaps' reports of every cell in row-major order.  Neighbours a and b in a row or a column
+    link when both are gapped and D = sum_j ||c_j^b - c_j^a||_2 < (beta_a + beta_b) / 2, where
+    beta = certificate_margin / 2 is chiral_gaps' lower bound on the inf of sigma_min over the
+    circle.  D bounds ||h_b - h_a|| on the whole circle without sampling, so by Weyl's inequality
+    every h_s = (1 - s) h_a + s h_b has sigma_min >= max(beta_a - s D, beta_b - (1 - s) D)
+    >= (beta_a + beta_b - D) / 2 > 0: the segment stays gapped and both cells share their winding
+    and edge index.  The factor 1/2 leaves room for rounding.  A pair with D < beta_a + beta_b
+    that fails the test is retried once through its midpoint h_m = (h_a + h_b) / 2, taken
+    coefficient by coefficient: it links when h_m's own gap certifies and both halves pass the same
+    test, with D_am and D_mb read from h_m's coefficients.  The midpoints of a row's links and of
+    its column links to the row before are certified as one stack.  A cell without a gap is in no
+    component.
     """
-    steps = np.linalg.norm(np.diff(coeffs, axis=0), 2, axis=(2, 3)).sum(axis=1)
-    margins = [gap.certificate_margin for gap in gaps]
-    runs = []
-    for i, gap in enumerate(gaps):
-        if not gap.gapped:
+    if not gaps:
+        return []
+    n = len(stacks[0].coeffs)
+    coeffs = np.concatenate([h_pm.coeffs for h_pm in stacks])
+    beta = np.array([gap.certificate_margin / 2 for gap in gaps])
+    root = list(range(len(gaps)))
+
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for r in range(len(stacks)):
+        cells = range(r * n, r * n + n)
+        pairs = [(x - 1, x) for x in cells[1:]] + [(x - n, x) for x in cells if r]
+        pairs = [(x, y) for x, y in pairs if gaps[x].gapped and gaps[y].gapped]
+        if not pairs:
             continue
-        if runs and runs[-1][-1] == i - 1 and steps[i - 1] < (margins[i - 1] + margins[i]) / 4:
-            runs[-1].append(i)
-        else:
-            runs.append([i])
-    return runs
-
-
-def _phase_row(family: str, name1: str, name2: str, cells, tol, v1, axis2) -> list:
-    """The phase-diagram rows [p1, p2, winding, edge_index, gap_margin, decided] of the grid row p1 = v1.
-
-    The row's h_pm loops are one stack (fixtures.family_h_pm), certified by
-    chiral_gaps; a cell whose gap does not certify gets empty fields, and
-    gap_margin is the sampled sigma_min of the last grid either way.  In each
-    run of linked cells (_linked_runs) only the best-gapped cell is built as
-    a model and runs both routes; when they agree every other member takes
-    its integers (decided "linked").  When the representative's routes refuse
-    or disagree, every member runs its own (decided "routes"): a refusal is
-    never inherited.
-    """
-    h_pm = family_h_pm(family, **{name1: np.full(len(axis2), v1), name2: axis2})
-    gaps = chiral_gaps(h_pm)
-    rows = [[v1, v2, "", "", gap.e_plus, ""] for v2, gap in zip(axis2, gaps)]
-
-    def routes(i):
-        """(winding, edge_index) of cell i by its own two routes; "" where a route refuses."""
-        cm = FAMILIES[family][0](**{name1: float(v1), name2: float(axis2[i])})
-        try:
-            winding = full_winding(cm, tol=tol).winding
-        except ChiralEdgeError:
-            winding = ""
-        try:
-            # Auto cells refuse (empty field) when the decay is too slow to resolve the kernel.
-            edge = edge_modes_truncated(cm, cells=cells, tol=tol, gap=gaps[i]).edge_index
-        except ChiralEdgeError:
-            edge = ""
-        return winding, edge
-
-    for run in _linked_runs(h_pm.coeffs, gaps):
-        best = max(run, key=lambda i: gaps[i].certificate_margin)
-        answer = routes(best)
-        inherit = answer[0] != "" and answer[0] == answer[1]
-        for i in run:
-            rows[i][2:4] = answer if i == best or inherit else routes(i)
-            rows[i][5] = "linked" if i != best and inherit else "routes"
-    return rows
+        a, b = np.array(pairs).T
+        room = beta[a] + beta[b]
+        d = _distance(coeffs[a], coeffs[b])
+        linked = d < room / 2
+        near = ~linked & (d < room)
+        if near.any():
+            c_a, c_b = coeffs[a[near]], coeffs[b[near]]
+            mid = (c_a + c_b) / 2
+            mid_gaps = chiral_gaps(MatrixLoop(stacks[r].lowest_power, mid))
+            beta_m = np.array([gap.certificate_margin / 2 for gap in mid_gaps])
+            linked[near] = (
+                np.array([gap.gapped for gap in mid_gaps], dtype=bool)
+                & (_distance(c_a, mid) < (beta[a[near]] + beta_m) / 2)
+                & (_distance(mid, c_b) < (beta_m + beta[b[near]]) / 2)
+            )
+        for x, y in zip(a[linked].tolist(), b[linked].tolist()):
+            root[find(y)] = find(x)
+    components = {}
+    for x, gap in enumerate(gaps):
+        if gap.gapped:
+            components.setdefault(find(x), []).append(x)
+    return list(components.values())
 
 
 def _cmd_phase_diagram(args, tol) -> int:
@@ -500,7 +502,10 @@ def _cmd_phase_diagram(args, tol) -> int:
             raise ParseError(f"{which} must be an object with name, min and max")
         if spec["name"] not in allowed:
             raise ParseError(f"family {doc['family']!r} has parameters {allowed}, not {spec['name']!r}")
-        return str(spec["name"]), parse_number(spec["min"], f"{which} min"), parse_number(spec["max"], f"{which} max")
+        lo, hi = parse_number(spec["min"], f"{which} min"), parse_number(spec["max"], f"{which} max")
+        if not math.isfinite(hi - lo):  # np.linspace would fill the axis with NaN
+            raise ParseError(f"{which} span max - min overflows: {lo!r} to {hi!r}")
+        return str(spec["name"]), lo, hi
 
     name1, lo1, hi1 = axis(doc["param1"], "param1")
     name2, lo2, hi2 = axis(doc["param2"], "param2")
@@ -511,10 +516,39 @@ def _cmd_phase_diagram(args, tol) -> int:
     if n1 < 0 or n2 < 0:
         raise ParseError(f"--grid sizes must not be negative, got {args.grid!r}")
 
-    axis2 = np.linspace(lo2, hi2, n2)
-    grid = [_phase_row(doc["family"], name1, name2, args.cells, tol, v1, axis2) for v1 in np.linspace(lo1, hi1, n1)]
-    rows = [cell for row in grid for cell in row]
-    meta = _meta(raw, args.seed, tol, {"grid": args.grid, "cells": args.cells, "family": doc["family"]})
+    family, axis1, axis2 = doc["family"], np.linspace(lo1, hi1, n1), np.linspace(lo2, hi2, n2)
+    # One chiral_gaps stack per row: a whole-grid stack would hold every row's k-grid evaluations at once.
+    stacks = [family_h_pm(family, **{name1: np.full(n2, v1), name2: axis2}) for v1 in axis1]
+    gaps = [gap for h_pm in stacks for gap in chiral_gaps(h_pm)]
+    cells = [(v1, v2) for v1 in axis1 for v2 in axis2]
+    rows = [[v1, v2, "", "", gap.e_plus, ""] for (v1, v2), gap in zip(cells, gaps)]
+
+    def routes(x):
+        """(winding, edge_index) of cell x by its own two routes; "" where a route refuses."""
+        cm = FAMILIES[family][0](**{name1: float(cells[x][0]), name2: float(cells[x][1])})
+        try:
+            winding = full_winding(cm, tol=tol).winding
+        except ChiralEdgeError:
+            winding = ""
+        try:
+            # Auto cells refuse (empty field) when the decay is too slow to resolve the kernel.
+            edge = edge_modes_truncated(cm, cells=args.cells, tol=tol, gap=gaps[x]).edge_index
+        except ChiralEdgeError:
+            edge = ""
+        return winding, edge
+
+    # Only the best-gapped cell of a component is built as a model and runs both routes; when they
+    # agree every other member takes its integers (decided "linked").  When they refuse or disagree,
+    # every member runs its own (decided "routes"): a refusal is never inherited.  A cell whose gap
+    # does not certify keeps empty fields; gap_margin is the sampled sigma_min of the last grid.
+    for component in _linked_components(stacks, gaps):
+        best = max(component, key=lambda x: gaps[x].certificate_margin)
+        answer = routes(best)
+        inherit = answer[0] != "" and answer[0] == answer[1]
+        for x in component:
+            rows[x][2:4] = answer if x == best or inherit else routes(x)
+            rows[x][5] = "linked" if x != best and inherit else "routes"
+    meta = _meta(raw, args.seed, tol, {"grid": args.grid, "cells": args.cells, "family": family})
     _emit_csv([name1, name2, "winding", "edge_index", "gap_margin", "decided"], rows, meta, args.out)
     return 0
 

@@ -19,7 +19,7 @@ from chiraledge.fixtures import ssh
 from chiraledge.halfspace import edge_modes_truncated
 from chiraledge.loops import model_from_loop
 from chiraledge.models import MatrixLoop, model_to_dict, save_model, unit_circle
-from chiraledge.spectrum import chiral_gap
+from chiraledge.spectrum import chiral_gap, chiral_gaps
 from chiraledge.winding import full_winding
 
 from test_winding import root_pair_between_samples
@@ -302,34 +302,45 @@ def phase_rows(capsys, tmp_path, t1, t2, grid):
 CRITERION_4_SHAPES = [(2, 1), (2, 2), (2, 3), (4, 1), (4, 2)]
 
 
+def ssh_row(t1, t2s):
+    """One grid row of ssh cells as linked_components reads it: ([h_pm stack], chiral_gap reports)."""
+    cms = [ssh(t1, t2) for t2 in t2s]
+    return [MatrixLoop(-1, np.stack([cm.symbol("pm").coeffs for cm in cms]))], [chiral_gap(cm) for cm in cms]
+
+
 class TestLinkedRows:
     # ssh's h_pm is t1 + t2 lambda, so sigma_min = | |t1| - |t2| | and a step
     # along a row changes one coefficient: D = |t2' - t2|.
     def test_coarse_grid_links_only_certified_steps(self, capsys, tmp_path):
         t1s, t2s = (0.25, 1.0, 1.75), (1.25, 2.0, 2.75)
-        expected_runs = [[[0, 1, 2]], [[0], [1, 2]], [[0], [1], [2]]]
-        for t1, want in zip(t1s, expected_runs):
-            cms = [ssh(t1, t2) for t2 in t2s]
-            gaps = [chiral_gap(cm) for cm in cms]
-            runs = cli._linked_runs(np.stack([cm.symbol("pm").coeffs for cm in cms]), gaps)
-            linked = {(i - 1, i) for run in runs for i in run[1:]}
+        expected_components = [[[0, 1, 2]], [[0, 1, 2]], [[0], [1, 2]]]
+        # The steps from gap 0.25 to gap 1 (t1 = 1 and 1.75), where D = 0.75 lies
+        # between (beta_a + beta_b) / 2 and beta_a + beta_b, link through their midpoints.
+        through_midpoint = {(1.0, 1), (1.75, 2)}
+        for t1, want in zip(t1s, expected_components):
+            stacks, gaps = ssh_row(t1, t2s)
+            components = cli._linked_components(stacks, gaps)
             for i in (1, 2):
                 beta_a, beta_b = (gaps[j].certificate_margin / 2 for j in (i - 1, i))
-                if (i - 1, i) in linked:
-                    assert abs(t2s[i] - t2s[i - 1]) < (beta_a + beta_b) / 2
-            # Left unlinked: the steps from gap 0.25 to gap 1 (t1 = 1 and 1.75),
-            # where D = 0.75 lies between (beta_a + beta_b) / 2 and beta_a + beta_b,
-            # and the step across the transition (t1 = 1.75).
-            assert runs == want
+                step = abs(t2s[i] - t2s[i - 1])
+                joined = any(i - 1 in c and i in c for c in components)
+                assert joined == (step < (beta_a + beta_b) / 2 or (t1, i) in through_midpoint)
+                if (t1, i) in through_midpoint:
+                    assert (beta_a + beta_b) / 2 <= step < beta_a + beta_b
+            # Left unlinked: the step across the transition (t1 = 1.75), where D > beta_a + beta_b.
+            assert components == want
         rows = phase_rows(capsys, tmp_path, (0.25, 1.75), (1.25, 2.75), "3x3")
         assert [(w, edge) for _, _, w, edge, _, _ in rows] == [("1", "1")] * 6 + [("0", "0"), ("1", "1"), ("1", "1")]
-        # The best-gapped member (t2 = 2.75) decides each run by its routes.
-        decided = ["linked", "linked", "routes", "routes", "linked", "routes", "routes", "routes", "routes"]
+        # Columns link too: the eight winding-1 cells are one component, decided by
+        # its best-gapped member (t1 = 0.25, t2 = 2.75); t1 = 1.75, t2 = 1.25 is its own.
+        decided = ["linked", "linked", "routes", "linked", "linked", "linked", "routes", "linked", "linked"]
         assert [row[5] for row in rows] == decided
 
     def test_step_is_the_coefficient_sum_not_a_sampled_norm(self):
         # h_b - h_a = diag(1.2, 1.2 lambda) has norm 1.2 everywhere on the
         # circle, but its coefficient norms sum to D = 2.4 >= (beta_a + beta_b) / 2.
+        # The midpoint diag(2.6, 2 + 0.6 lambda) (beta_m ~ 1.396) does not rescue
+        # the pair: its half to h_b (beta_b ~ 0.793) has D_mb = 1.2 > (beta_m + beta_b) / 2.
         h_a = MatrixLoop(0, np.array([2 * np.eye(2), np.zeros((2, 2))], dtype=complex))
         h_b = MatrixLoop(0, h_a.coeffs + np.array([np.diag([1.2, 0]), np.diag([0, 1.2])]))
         cms = [model_from_loop(h) for h in (h_a, h_b)]
@@ -338,7 +349,8 @@ class TestLinkedRows:
         lams = unit_circle(512)
         sampled = np.linalg.norm(h_b.eval_many(lams) - h_a.eval_many(lams), 2, axis=(1, 2)).max()
         assert sampled < threshold < 2.4
-        assert cli._linked_runs(np.stack([cm.symbol("pm").coeffs for cm in cms]), gaps) == [[0], [1]]
+        stacks = [MatrixLoop(0, np.stack([cm.symbol("pm").coeffs for cm in cms]))]
+        assert cli._linked_components(stacks, gaps) == [[0], [1]]
 
     @given(shape=st.sampled_from(CRITERION_4_SHAPES), seed=st.integers(0, 2**32 - 1), ratio=st.floats(0.05, 0.5))
     def test_linked_models_share_their_integers(self, shape, seed, ratio):
@@ -355,7 +367,8 @@ class TestLinkedRows:
         cm_b = model_from_loop(MatrixLoop(h_a.lowest_power, h_a.coeffs + e))
         gap_b = chiral_gap(cm_b)
         assert np.linalg.norm(e, 2, axis=(1, 2)).sum() < (gap_a.certificate_margin + gap_b.certificate_margin) / 4
-        assert cli._linked_runs(np.stack([h_a.coeffs, cm_b.symbol("pm").coeffs]), [gap_a, gap_b]) == [[0, 1]]
+        stacks = [MatrixLoop(h_a.lowest_power, np.stack([h_a.coeffs, cm_b.symbol("pm").coeffs]))]
+        assert cli._linked_components(stacks, [gap_a, gap_b]) == [[0, 1]]
         integers = [
             (full_winding(cm).winding, edge_modes_truncated(cm, gap=gap).edge_index)
             for cm, gap in ((cm_a, gap_a), (cm_b, gap_b))
@@ -388,6 +401,115 @@ class TestLinkedRows:
         rows = phase_rows(capsys, tmp_path, (0.9, 0.9), (1.0, 1.04), "1x3")
         assert [(row[2], row[3], row[5]) for row in rows] == [("1", "", "routes")] * 3
 
+
+class TestGridComponents:
+    def test_one_column_links_down_the_column(self, capsys, monkeypatch, tmp_path):
+        # t2 = 1, t1 = 0.5, 0.75, 1: gaps 0.5 and 0.25 are D = 0.25 < (beta_a + beta_b) / 2
+        # apart, and t1 = t2 has no gap.  One route cell where row-only links ran two.
+        routed = []
+        real = cli.full_winding
+
+        def winding(cm, **kwargs):
+            routed.append(cm.base.on_site[0, 1])
+            return real(cm, **kwargs)
+
+        monkeypatch.setattr(cli, "full_winding", winding)
+        rows = phase_rows(capsys, tmp_path, (0.5, 1.0), (1.0, 1.0), "3x1")
+        assert [(row[2], row[3], row[5]) for row in rows] == [("1", "1", "routes"), ("1", "1", "linked"), ("", "", "")]
+        assert routed == [0.5]
+
+    def test_near_miss_links_through_its_midpoint(self, capsys, tmp_path):
+        # ssh(1, 1.25) - ssh(1, 2): D = 0.75 >= (beta_a + beta_b) / 2 with beta ~ 0.242 and
+        # 0.988; the midpoint ssh(1, 1.625) has beta_m ~ 0.615, and both halves (D = 0.375) pass.
+        stacks, gaps = ssh_row(1.0, (1.25, 2.0))
+        beta_a, beta_b = (gap.certificate_margin / 2 for gap in gaps)
+        assert (beta_a + beta_b) / 2 <= 0.75 < beta_a + beta_b
+        assert cli._linked_components(stacks, gaps) == [[0, 1]]
+        rows = phase_rows(capsys, tmp_path, (1.0, 1.0), (1.25, 2.0), "1x2")
+        assert [(row[2], row[3], row[5]) for row in rows] == [("1", "1", "linked"), ("1", "1", "routes")]
+
+    def test_midpoint_keeps_the_rounding_factor(self, capsys, tmp_path):
+        # ssh(1, 1.1) - ssh(1, 1.8): D = 0.7 < beta_a + beta_b ~ 0.88, but the midpoint
+        # (beta_m ~ 0.441) is D_am = 0.35 >= (beta_a + beta_m) / 2 ~ 0.27 from h_a: no link.
+        # Without the factor 1/2 the pair would link directly.
+        stacks, gaps = ssh_row(1.0, (1.1, 1.8))
+        beta_a, beta_b = (gap.certificate_margin / 2 for gap in gaps)
+        assert (beta_a + beta_b) / 2 <= 0.7 < beta_a + beta_b
+        assert cli._linked_components(stacks, gaps) == [[0], [1]]
+        rows = phase_rows(capsys, tmp_path, (1.0, 1.0), (1.1, 1.8), "1x2")
+        assert [(row[2], row[3], row[5]) for row in rows] == [("1", "1", "routes")] * 2
+
+    @given(
+        t1=st.floats(0.05, 3.0),
+        below=st.floats(0.01, 0.99),
+        above=st.floats(1.01, 3.0),
+        column=st.booleans(),
+    )
+    def test_pair_across_the_transition_never_links(self, t1, below, above, column):
+        # t2 = below * t1 (winding 0) and above * t1 (winding 1), as two cells of a row
+        # or of a column, with no gapless grid point between them.
+        t2s = np.array([below * t1, above * t1])
+        if column:
+            stacks = [fixtures.family_h_pm("ssh", t2=np.array([t2]), t1=np.array([t1])) for t2 in t2s]
+        else:
+            stacks = [fixtures.family_h_pm("ssh", t1=np.full(2, t1), t2=t2s)]
+        gaps = [gap for h_pm in stacks for gap in chiral_gaps(h_pm)]
+        assert all(len(c) == 1 for c in cli._linked_components(stacks, gaps))
+
+    @given(shape=st.sampled_from(CRITERION_4_SHAPES), seed=st.integers(0, 2**32 - 1), ratio=st.floats(1.0, 1.6))
+    def test_midpoint_linked_models_share_their_integers(self, shape, seed, ratio):
+        # h_b = h_a + E with sum_j ||E_j|| = ratio * beta_a, inside the retry band
+        # (beta_a + beta_b) / 2 <= D < beta_a + beta_b; when the midpoint links the
+        # pair, both models' own routes give the same two integers.
+        dim_v, hop_range = shape
+        cm_a = verify.random_chiral_ensemble(verify.EnsembleSpec(seed, 1, dim_v, hop_range, gap_floor=0.3))[0]
+        h_a = cm_a.symbol("pm")
+        gap_a = chiral_gap(cm_a)
+        assume(gap_a.gapped)
+        rng = np.random.default_rng(seed)
+        e = rng.standard_normal(h_a.coeffs.shape) + 1j * rng.standard_normal(h_a.coeffs.shape)
+        e *= ratio * gap_a.certificate_margin / 2 / np.linalg.norm(e, 2, axis=(1, 2)).sum()
+        cm_b = model_from_loop(MatrixLoop(h_a.lowest_power, h_a.coeffs + e))
+        gap_b = chiral_gap(cm_b)
+        room = (gap_a.certificate_margin + gap_b.certificate_margin) / 2
+        d = np.linalg.norm(e, 2, axis=(1, 2)).sum()
+        assume(gap_b.gapped and room / 2 <= d < room)
+        stacks = [MatrixLoop(h_a.lowest_power, np.stack([h_a.coeffs, cm_b.symbol("pm").coeffs]))]
+        assume(cli._linked_components(stacks, [gap_a, gap_b]) == [[0, 1]])
+        integers = [
+            (full_winding(cm).winding, edge_modes_truncated(cm, gap=gap).edge_index)
+            for cm, gap in ((cm_a, gap_a), (cm_b, gap_b))
+        ]
+        assert integers[0] == integers[1]
+
+    def test_one_stack_per_row_one_midpoint_stack_per_row_one_route_per_component(
+        self, capsys, monkeypatch, tmp_path
+    ):
+        # t1 = 0.7, 1.3 and t2 = 0.1 .. 2.9 in steps of 0.4: t1 = t2 = 1.3 has no gap, and
+        # both rows have near-miss links.  Two components (winding 0 and 1).
+        stacks, routed = [], []
+        real_gaps = cli.chiral_gaps
+
+        def counted_gaps(h_pm):
+            stacks.append(len(h_pm.coeffs))
+            return real_gaps(h_pm)
+
+        def winding(cm, **kwargs):
+            routed.append((cm.base.on_site[0, 1], cm.base.right_hops[0][1, 0]))
+            return SimpleNamespace(winding=int(cm.base.right_hops[0][1, 0] > cm.base.on_site[0, 1]))
+
+        def edge(cm, **kwargs):
+            return SimpleNamespace(edge_index=int(cm.base.right_hops[0][1, 0] > cm.base.on_site[0, 1]))
+
+        monkeypatch.setattr(cli, "chiral_gaps", counted_gaps)
+        monkeypatch.setattr(cli, "full_winding", winding)
+        monkeypatch.setattr(cli, "edge_modes_truncated", edge)
+        rows = phase_rows(capsys, tmp_path, (0.7, 1.3), (0.1, 2.9), "2x8")
+        # Two row stacks, then one midpoint stack for each row.
+        assert stacks == [8, 8, 2, 1]
+        assert len(routed) == 2
+        assert [row[5] for row in rows].count("routes") == 2
+        assert [row[5] for row in rows].count("") == 1
 
 # Family parameters: 0 or at least 1e-300 in magnitude.
 PARAMETERS = st.floats(-4, 4).filter(lambda x: x == 0 or abs(x) >= 1e-300)
@@ -547,6 +669,7 @@ class TestErrorsAndDeterminism:
             ["verify", "--ensemble", "dim_v=2,range=1,count=1,scale=1e-200"],
             ["verify", "--ensemble", "dim_v=2,range=1,count=1,gap_floor=-1"],
             ["phase-diagram", "{family_name_twice}", "--grid", "2x2"],
+            ["phase-diagram", "{family_span_overflow}", "--grid", "2x2"],
         ],
         ids=["ensemble-not-a-number", "ensemble-no-value", "ensemble-odd-dim", "ensemble-range-0",
              "family-min-not-a-number", "grid-negative", "modes-steps-0", "spectrum-samples-4",
@@ -557,7 +680,7 @@ class TestErrorsAndDeterminism:
              "model-hop-nan", "modes-energy-nan", "modes-initial-nan", "modes-initial-nan-out", "window-nan",
              "modes-back-negative", "window-reversed", "window-empty", "ensemble-scale-negative",
              "ensemble-scale-0", "ensemble-scale-square-overflows", "ensemble-scale-square-underflows",
-             "ensemble-gap_floor-negative", "family-name-twice"],
+             "ensemble-gap_floor-negative", "family-name-twice", "family-span-overflow"],
     )
     def test_malformed_input_exits_2(self, capsys, family_file, tmp_path, argv):
         family = json.loads(family_file.read_text())
@@ -577,6 +700,8 @@ class TestErrorsAndDeterminism:
             "family_min_nan": {**family, "param1": {**family["param1"], "min": float("nan")}},
             # Both axes on t1: the rows would label t1 with values the cells never used.
             "family_name_twice": {**family, "param2": family["param1"]},
+            # Finite ends whose difference overflows: np.linspace would give NaN grid values.
+            "family_span_overflow": {**family, "param1": {**family["param1"], "min": -1.7e308, "max": 1.7e308}},
             "model_hop_nan": {**model, "right_hops": [[[[0.0, 0.0], [0.0, 0.0]], [[float("nan"), 0.0], [0.0, 0.0]]]]},
         }
         paths = {"family": family_file, "curve": tmp_path / "curve.csv"}

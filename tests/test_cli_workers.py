@@ -56,16 +56,21 @@ def test_grid_across_the_transition(tmp_path):
 
 
 def test_linked_grid_bytes_do_not_depend_on_the_workers(tmp_path):
-    # Four rows, each crossing |t1| = |t2| once or twice, so every row has
-    # runs of linked cells; t1 = 0.8 = t2 is a cell with no gap.
+    # Four rows, each crossing |t1| = |t2| once or twice; t1 = 0.8 = t2 is a
+    # cell with no gap.  Row and column links join the other 27 cells into two
+    # components, one on each side of the transition.
     rows = phase_diagram_rows(tmp_path, ssh_family(tmp_path, (0.4, 1.6), (0.2, 2.0)), "4x7")
     assert len(rows) == 28
-    assert [row[5] for row in rows].count("linked") == 16
+    assert [row[5] for row in rows].count("linked") == 25
     assert [row[5] for row in rows].count("") == 1
 
 
 def test_zero_cell_grid_exits_0(tmp_path):
     assert phase_diagram_rows(tmp_path, ssh_family(tmp_path, (0.5, 1), (1, 2)), "0x5") == []
+
+
+def test_zero_column_grid_exits_0(tmp_path):
+    assert phase_diagram_rows(tmp_path, ssh_family(tmp_path, (0.5, 1), (1, 2)), "5x0") == []
 
 
 def test_refused_cell_stays_empty_in_a_worker(monkeypatch, tmp_path):
