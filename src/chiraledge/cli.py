@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import sys
@@ -520,12 +521,11 @@ def _cmd_phase_diagram(args, tol) -> int:
     # One chiral_gaps stack per row: a whole-grid stack would hold every row's k-grid evaluations at once.
     stacks = [family_h_pm(family, **{name1: np.full(n2, v1), name2: axis2}) for v1 in axis1]
     gaps = [gap for h_pm in stacks for gap in chiral_gaps(h_pm)]
-    cells = [(v1, v2) for v1 in axis1 for v2 in axis2]
-    rows = [[v1, v2, "", "", gap.e_plus, ""] for (v1, v2), gap in zip(cells, gaps)]
+    rows = [[v1, v2, "", "", gap.e_plus, ""] for (v1, v2), gap in zip(itertools.product(axis1, axis2), gaps)]
 
     def routes(x):
         """(winding, edge_index) of cell x by its own two routes; "" where a route refuses."""
-        cm = FAMILIES[family][0](**{name1: float(cells[x][0]), name2: float(cells[x][1])})
+        cm = FAMILIES[family][0](**{name1: float(rows[x][0]), name2: float(rows[x][1])})
         try:
             winding = full_winding(cm, tol=tol).winding
         except ChiralEdgeError:
